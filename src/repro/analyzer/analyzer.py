@@ -35,6 +35,7 @@ from repro.analyzer.query_tree import (
     SetOpTreeNode,
     SortClause,
     TargetEntry,
+    setop_leaf_indexes,
 )
 
 AGGREGATE_NAMES = frozenset(
@@ -110,8 +111,6 @@ def _query_level_exprs(query: Query):
 
 
 def _has_free_vars(query: Query, depth: int) -> bool:
-    from repro.analyzer.query_tree import setop_leaf_indexes
-
     for expr in _query_level_exprs(query):
         for node in ex.walk(expr):
             if isinstance(node, ex.Var) and node.levelsup > depth:
@@ -505,12 +504,19 @@ class Analyzer:
         self, node: ast.SelectNode, query: Query, outer_scopes: list[_Scope]
     ) -> SetOpRangeRef:
         subquery = self._analyze_select(node, outer_scopes)
+        provenance_attrs = None
+        if not query.provenance:
+            # An operand marked on its own is rewritten on its own, like a
+            # marked FROM subquery (a marked set operation rewrites all of
+            # its operands itself).
+            subquery, provenance_attrs = self._rewrite_if_marked(subquery, None)
         rte = RangeTableEntry(
             kind=RTEKind.SUBQUERY,
             alias=f"*setop*{len(query.range_table)}",
             column_names=list(subquery.output_columns()),
             column_types=list(subquery.output_types()),
             subquery=subquery,
+            provenance_attrs=provenance_attrs,
         )
         return SetOpRangeRef(query.add_rte(rte))
 
@@ -525,6 +531,16 @@ class Analyzer:
         left_types = self._setop_types(query, left)
         right_types = self._setop_types(query, right)
         if len(left_types) != len(right_types):
+            for rtindex in setop_leaf_indexes(left) + setop_leaf_indexes(right):
+                rte = query.range_table[rtindex]
+                if rte.provenance_attrs is not None:
+                    raise AnalyzeError(
+                        f"operand {rtindex + 1} of the {op.upper()} is marked "
+                        f"SELECT PROVENANCE and was rewritten to {rte.width()} "
+                        "columns, which no longer matches the other operand; "
+                        "mark the first select clause to compute the "
+                        "provenance of the whole set operation"
+                    )
             raise AnalyzeError(
                 f"each {op.upper()} query must have the same number of columns"
             )

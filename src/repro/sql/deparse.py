@@ -613,9 +613,18 @@ def _deparse_setop_tree(
         return dialect.setop_operand(inner, indent)
     assert isinstance(node, SetOpNode)
     op = dialect.setop_keyword(node.op, node.all)
-    left = _deparse_setop_tree(node.left, query, indent, dialect, outers)
-    right = _deparse_setop_tree(node.right, query, indent, dialect, outers)
-    return f"{left}\n{pad}{op}\n{right}"
+
+    def operand(child: SetOpTreeNode) -> str:
+        # A nested set operation keeps its grouping: dialects disagree on
+        # precedence (SQLite evaluates a flat chain left to right, the
+        # standard binds INTERSECT tighter), so every non-leaf operand is
+        # wrapped like a leaf.
+        if isinstance(child, SetOpRangeRef):
+            return _deparse_setop_tree(child, query, indent, dialect, outers)
+        nested = _deparse_setop_tree(child, query, indent + 2, dialect, outers)
+        return dialect.setop_operand(nested, indent)
+
+    return f"{operand(node.left)}\n{pad}{op}\n{operand(node.right)}"
 
 
 def _deparse_rte(rte: RangeTableEntry, indent: int, dialect: Dialect) -> str:

@@ -107,3 +107,61 @@ def test_annotation_overrides_recomputation(db):
         "PROVENANCE (prov_items_id, prov_items_price)"
     )
     assert len(result) == 3  # items is gone; stored provenance still works
+
+
+# -- mixed contribution semantics across nesting levels ----------------------
+
+
+def test_witness_root_reuses_polynomial_subquery_annotation(db):
+    """A polynomial-marked subquery is already rewritten when the witness
+    root sees it: its annotation column is the from-item's P-list."""
+    result = db.execute(
+        "SELECT PROVENANCE name FROM "
+        "(SELECT PROVENANCE (polynomial) name FROM shop WHERE numempl < 10) AS p"
+    )
+    assert result.columns == ["name", "prov_polynomial"]
+    assert [(name, str(poly)) for name, poly in result.rows] == [
+        ("Merdies", "shop(Merdies,3)")
+    ]
+
+
+def test_polynomial_root_rejects_witness_subquery(db):
+    with pytest.raises(RewriteError, match="exposes witness-list provenance"):
+        db.execute(
+            "SELECT PROVENANCE (polynomial) name FROM "
+            "(SELECT PROVENANCE name FROM shop) AS w"
+        )
+
+
+def test_polynomial_root_multiplies_polynomial_subquery_annotation(db):
+    result = db.execute(
+        "SELECT PROVENANCE (polynomial) name FROM "
+        "(SELECT PROVENANCE (polynomial) name FROM shop) AS p, items WHERE id = 1"
+    )
+    assert sorted((name, str(poly)) for name, poly in result.rows) == [
+        ("Joba", "items(1,100)*shop(Joba,14)"),
+        ("Merdies", "items(1,100)*shop(Merdies,3)"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "marker, provenance_column, value",
+    [
+        ("PROVENANCE", "prov_shop_numempl", "14"),
+        ("PROVENANCE (polynomial)", "prov_polynomial", "shop(Joba,14)"),
+    ],
+)
+def test_unmarked_root_over_marked_subquery(db, marker, provenance_column, value):
+    """The marked subquery is rewritten on its own; the unmarked root
+    reads its provenance columns like any other attribute."""
+    result = db.execute(
+        f"SELECT name, {provenance_column} FROM "
+        f"(SELECT {marker} name FROM shop) AS sub WHERE name = 'Joba'"
+    )
+    assert result.columns == ["name", provenance_column]
+    assert [(name, str(prov)) for name, prov in result.rows] == [("Joba", value)]
+
+
+def test_polynomial_root_with_unknown_provenance_attribute(db):
+    with pytest.raises(RewriteError, match="'nope' not found"):
+        db.execute("SELECT PROVENANCE (polynomial) name FROM shop PROVENANCE (nope)")

@@ -152,3 +152,20 @@ def test_setop_with_limit_applies_before_provenance_expansion(db):
     )
     originals = {row[0] for row in result.rows}
     assert originals == {1, 2}
+
+
+@pytest.mark.parametrize("backend", ("python", "sqlite"))
+def test_marked_non_first_operand_fails_at_analysis(db, backend):
+    """PROVENANCE on a later operand widens only that operand; the width
+    mismatch is reported before anything runs, on every backend."""
+    db.set_backend(backend)
+    with pytest.raises(repro.AnalyzeError, match="operand 3 of the EXCEPT is marked"):
+        db.execute(
+            "(SELECT a FROM r UNION SELECT a FROM s) "
+            "EXCEPT SELECT PROVENANCE a FROM r"
+        )
+    # An operand whose rewritten width matches is an ordinary operand.
+    result = db.execute("SELECT a, a FROM s UNION ALL SELECT PROVENANCE a FROM r")
+    assert Counter(result.rows) == Counter(
+        [(2, 2), (3, 3), (4, 4), (1, 1), (2, 2), (2, 2), (3, 3)]
+    )

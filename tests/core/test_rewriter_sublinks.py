@@ -10,14 +10,18 @@ import repro
 from repro.errors import RewriteError
 
 
-@pytest.fixture
-def db():
-    database = repro.connect()
+def _make_db(backend: str = "python"):
+    database = repro.connect(backend=backend)
     database.execute("CREATE TABLE t (a integer, b text)")
     database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (5, 'z')")
     database.execute("CREATE TABLE s (c integer)")
     database.execute("INSERT INTO s VALUES (1), (2), (9)")
     return database
+
+
+@pytest.fixture
+def db():
+    return _make_db()
 
 
 def test_in_sublink_witnesses(db):
@@ -161,3 +165,48 @@ def test_sublink_original_filter_still_applies(db):
         "SELECT PROVENANCE a FROM t WHERE a IN (SELECT c FROM s WHERE c < 2)"
     )
     assert {row[0] for row in result.rows} == {1}
+
+
+# -- HAVING / FROM-less sublinks (attached at the aggregation's top node) ----
+
+_HAVING = "SELECT PROVENANCE b, sum(a) FROM t GROUP BY b HAVING "
+_ALL_OF_S = (1, 2, 9)
+
+#: query -> hand-computed witness sets.  t = {1x, 2y, 5z}, s = {1, 2, 9}.
+TOP_LEVEL_SUBLINK_CASES = {
+    # sum IN s: group x (1) and y (2), each with the one matching s tuple.
+    _HAVING + "sum(a) IN (SELECT c FROM s)": {
+        ("x", 1, 1, "x", 1),
+        ("y", 2, 2, "y", 2),
+    },
+    # sum <> ALL s: only z (5); every s tuple differs from 5 and contributes.
+    _HAVING + "sum(a) NOT IN (SELECT c FROM s)": {
+        ("z", 5, 5, "z", c) for c in _ALL_OF_S
+    },
+    # Independent disjunct: z passes by sum > 4 alone, so all of s attaches;
+    # x and y pass only through the sublink and keep their single witness.
+    _HAVING + "sum(a) > 4 OR sum(a) IN (SELECT c FROM s)": {
+        ("x", 1, 1, "x", 1),
+        ("y", 2, 2, "y", 2),
+    } | {("z", 5, 5, "z", c) for c in _ALL_OF_S},
+    # x passes by sum < 2 alone (all of s), z through <> ALL (all of s
+    # differ from 5), y (2) fails both.
+    _HAVING + "sum(a) < 2 OR sum(a) <> ALL (SELECT c FROM s)": {
+        (b, total, total, b, c) for b, total in (("x", 1), ("z", 5)) for c in _ALL_OF_S
+    },
+    # FROM-less: the sublink relation becomes the whole FROM clause.
+    "SELECT PROVENANCE (SELECT max(c) FROM s)": {(9, c) for c in _ALL_OF_S},
+    "SELECT PROVENANCE 1 AS one WHERE 1 IN (SELECT c FROM s)": {(1, 1)},
+    "SELECT PROVENANCE 1 AS one WHERE 7 IN (SELECT c FROM s)": set(),
+}
+
+
+@pytest.mark.parametrize("sql", TOP_LEVEL_SUBLINK_CASES)
+def test_having_and_fromless_sublink_witnesses(db, sql):
+    result = db.execute(sql)
+    expected = TOP_LEVEL_SUBLINK_CASES[sql]
+    assert Counter(result.rows) == Counter(expected)  # each witness once
+
+    shipped = _make_db("sqlite").execute(sql)
+    assert shipped.columns == result.columns
+    assert Counter(shipped.rows) == Counter(result.rows)

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.analyzer.analyzer import Analyzer
+from repro.analyzer.query_tree import SetOpRangeRef
 from repro.sql import ast
 from repro.sql.deparse import deparse_query
 from repro.sql.parser import parse_expression, parse_sql
@@ -97,3 +98,38 @@ def test_null_safe_semantics_of_reparsed_form(db):
 def test_distinct_expr_printer_roundtrip():
     expr = parse_expression("a IS NOT DISTINCT FROM b")
     assert isinstance(parse_expression(str(expr)), ast.DistinctExpr)
+
+
+# Set-operation trees whose grouping differs from what a flat chain means
+# (the standard binds INTERSECT tighter; SQLite evaluates left to right).
+NESTED_SETOP_TREES = [
+    "SELECT name FROM shop UNION "
+    "(SELECT sname FROM sales INTERSECT SELECT name FROM shop)",
+    "(SELECT name FROM shop UNION SELECT sname FROM sales) "
+    "INTERSECT SELECT name FROM shop WHERE numempl > 5",
+    "SELECT name FROM shop EXCEPT "
+    "(SELECT sname FROM sales EXCEPT SELECT name FROM shop WHERE numempl > 5)",
+    "SELECT name FROM shop INTERSECT "
+    "(SELECT sname FROM sales UNION ALL SELECT name FROM shop)",
+    "(SELECT name FROM shop UNION ALL SELECT sname FROM sales) EXCEPT "
+    "(SELECT name FROM shop WHERE numempl > 5 INTERSECT SELECT sname FROM sales)",
+]
+
+
+def _setop_shape(query, node=None):
+    """The set-operation tree with every leaf replaced by its SQL text."""
+    node = node or query.set_operations
+    if isinstance(node, SetOpRangeRef):
+        return deparse_query(query.range_table[node.rtindex].subquery)
+    left, right = _setop_shape(query, node.left), _setop_shape(query, node.right)
+    return (node.op, node.all, left, right)
+
+
+@pytest.mark.parametrize("sql", NESTED_SETOP_TREES)
+def test_nested_setop_tree_roundtrips(db, sql):
+    query = Analyzer(db.catalog).analyze(parse_sql(sql)[0])
+    text = deparse_query(query)
+    reparsed = Analyzer(db.catalog).analyze(parse_sql(text)[0])
+    assert _setop_shape(reparsed) == _setop_shape(query)  # parse(deparse(q)) ≡ q
+    assert deparse_query(reparsed) == text
+    assert Counter(db.execute(text).rows) == Counter(db.execute(sql).rows)
