@@ -35,6 +35,7 @@ from repro.analyzer.query_tree import (
     SetOpTreeNode,
     SortClause,
     TargetEntry,
+    level_exprs,
     setop_leaf_indexes,
 )
 
@@ -92,26 +93,8 @@ def query_references_outer(query: Query) -> bool:
     return _has_free_vars(query, depth=0)
 
 
-def _query_level_exprs(query: Query):
-    for target in query.target_list:
-        yield target.expr
-    if query.jointree.quals is not None:
-        yield query.jointree.quals
-    stack = list(query.jointree.items)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, JoinTreeExpr):
-            if node.quals is not None:
-                yield node.quals
-            stack.append(node.left)
-            stack.append(node.right)
-    yield from query.group_clause
-    if query.having is not None:
-        yield query.having
-
-
 def _has_free_vars(query: Query, depth: int) -> bool:
-    for expr in _query_level_exprs(query):
+    for expr in level_exprs(query):
         for node in ex.walk(expr):
             if isinstance(node, ex.Var) and node.levelsup > depth:
                 return True
@@ -366,10 +349,9 @@ class Analyzer:
         """
         if not subquery.provenance:
             return subquery, provenance_attrs
-        from repro.core.registry import get_rewrite_strategy
+        from repro.core.rewriter import rewrite_marked_node
 
-        strategy = get_rewrite_strategy(subquery.provenance_type)
-        rewritten, attrs = strategy.rewrite_subquery(subquery)
+        rewritten, attrs = rewrite_marked_node(subquery)
         if provenance_attrs is None:
             provenance_attrs = attrs
         return rewritten, provenance_attrs

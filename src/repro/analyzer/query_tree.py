@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.catalog.schema import TableSchema
 from repro.datatypes import SQLType
@@ -267,6 +267,10 @@ class Query:
     def visible_targets(self) -> list[TargetEntry]:
         return [t for t in self.target_list if not t.resjunk]
 
+    def visible_position(self, tlist_index: int) -> int:
+        """Output position of target ``tlist_index`` (junk entries removed)."""
+        return sum(1 for t in self.target_list[:tlist_index] if not t.resjunk)
+
     def output_columns(self) -> list[str]:
         return [t.name for t in self.visible_targets]
 
@@ -343,3 +347,27 @@ def make_var_for_rte_column(
         name=rte.column_names[attno],
         levelsup=levelsup,
     )
+
+
+def level_exprs(query: Query) -> Iterator[Expr]:
+    """Read-only iteration over the expressions owned by ``query`` itself
+    (not those of its subqueries or sublink queries)."""
+    for target in query.target_list:
+        yield target.expr
+    if query.jointree.quals is not None:
+        yield query.jointree.quals
+    stack: list[JoinTreeNode] = list(query.jointree.items)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, JoinTreeExpr):
+            if node.quals is not None:
+                yield node.quals
+            stack.append(node.left)
+            stack.append(node.right)
+    yield from query.group_clause
+    if query.having is not None:
+        yield query.having
+    if query.limit_count is not None:
+        yield query.limit_count
+    if query.limit_offset is not None:
+        yield query.limit_offset

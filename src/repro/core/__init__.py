@@ -1,36 +1,28 @@
 """The Perm provenance rewriter -- the paper's core contribution.
 
-``traverse_query_tree`` / ``rewrite_query_node`` implement the algorithm
-of paper Fig. 7 over the query-tree representation of section IV-B:
-
-* SPJ nodes: rewrite every range table entry and append the provenance
-  attributes to the target list (Fig. 6.1),
-* ASPJ nodes: join the original aggregation with a rewritten,
-  aggregation-stripped duplicate on the grouping attributes (Fig. 6.2),
-* set-operation nodes: split into binary nodes and join the original set
-  operation with the rewritten duplicates of its inputs (Fig. 6.3b),
-* uncorrelated sublinks: join the rewritten sublink query into the range
-  table (section IV-E); correlated sublinks raise ``RewriteError``.
+``traverse_query_tree`` implements the algorithm of paper Fig. 7 over the
+query-tree representation of section IV-B, once, for every contribution
+semantics (``repro.core.rewriter``); what is carried through it is an
+annotation scheme from ``repro.core.registry`` -- the paper's witness
+lists (``repro.core.witness``) by default.  ``docs/rewriter.md`` maps the
+paper's figures and rules onto the code.
 """
 
 from repro.core.naming import ProvenanceAttribute, ProvenanceNamer
-from repro.core.pstack import PStack
 from repro.core.registry import (
     DEFAULT_STRATEGY,
-    RewriteStrategy,
     get_rewrite_strategy,
     register_rewrite_strategy,
     rewrite_strategy_names,
 )
-from repro.core.rewriter import rewrite_query_node, traverse_query_tree
+from repro.core.rewriter import AnnotationScheme, rewrite_marked_node, traverse_query_tree
 
 __all__ = [
     "ProvenanceAttribute",
     "ProvenanceNamer",
-    "PStack",
-    "rewrite_query_node",
+    "AnnotationScheme",
+    "rewrite_marked_node",
     "traverse_query_tree",
-    "RewriteStrategy",
     "DEFAULT_STRATEGY",
     "get_rewrite_strategy",
     "register_rewrite_strategy",

@@ -1,70 +1,52 @@
-"""Registry of provenance rewrite strategies (contribution semantics).
+"""Registry of annotation schemes (contribution semantics).
 
-The Perm architecture computes provenance by rewriting marked query nodes
-into ordinary queries over the same data model.  *Which* rewrite is
-applied -- which contribution semantics is computed -- is pluggable:
+Perm computes provenance by rewriting marked query nodes into ordinary
+queries over the same data model.  The traversal that does so
+(``repro.core.rewriter``) is one; *what* it carries is an annotation
+scheme, selected in SQL with ``SELECT PROVENANCE (<name>) ...``:
 
-* ``witness`` -- the paper's witness-list rewrite (``repro.core.rewriter``):
-  every result tuple is paired with the contributing base tuples, one
-  column block per base relation reference.  The default.
-* ``polynomial`` -- the semiring rewrite (``repro.semiring.rewriter``):
-  every result tuple carries one ``N[X]`` provenance polynomial.
+* ``witness`` (``repro.core.witness``) -- the paper's witness lists: every
+  result tuple is paired with its contributing base tuples, one column
+  block per base relation reference.  The default of a bare
+  ``SELECT PROVENANCE``.
+* ``polynomial`` (``repro.semiring.rewriter``) -- every result tuple
+  carries one ``N[X]`` provenance polynomial.
 
-SQL selects a strategy with ``SELECT PROVENANCE (<name>) ...``; a bare
-``SELECT PROVENANCE`` uses the default.  Future semantics
-(influence-contribution, copy-contribution, access-control policies)
-register here and become available through the same syntax.
+An entry is the scheme class itself (``name``, ``description`` and the
+algebra the traversal calls; see ``AnnotationScheme``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import RewriteError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.analyzer.query_tree import Query
+    from repro.core.rewriter import AnnotationScheme
 
 DEFAULT_STRATEGY = "witness"
 
-
-@dataclass(frozen=True)
-class RewriteStrategy:
-    """One pluggable contribution semantics.
-
-    ``rewrite_root`` rewrites a marked top-level query node into its
-    provenance-computing form.  ``rewrite_subquery`` rewrites a marked
-    subquery and additionally names the provenance columns it exposes, so
-    enclosing rewrites can treat the entry as already computed
-    (incremental provenance, paper section IV-A.3).
-    """
-
-    name: str
-    description: str
-    rewrite_root: Callable[["Query"], "Query"]
-    rewrite_subquery: Callable[["Query"], tuple["Query", tuple[str, ...]]]
+_SCHEMES: dict[str, type["AnnotationScheme"]] = {}
 
 
-_STRATEGIES: dict[str, RewriteStrategy] = {}
+def register_rewrite_strategy(
+    scheme: type["AnnotationScheme"], replace: bool = False
+) -> type["AnnotationScheme"]:
+    key = scheme.name.lower()
+    if key in _SCHEMES and not replace:
+        raise ValueError(f"rewrite strategy {scheme.name!r} is already registered")
+    _SCHEMES[key] = scheme
+    return scheme
 
 
-def register_rewrite_strategy(strategy: RewriteStrategy, replace: bool = False) -> RewriteStrategy:
-    key = strategy.name.lower()
-    if key in _STRATEGIES and not replace:
-        raise ValueError(f"rewrite strategy {strategy.name!r} is already registered")
-    _STRATEGIES[key] = strategy
-    return strategy
-
-
-def get_rewrite_strategy(name: str | None) -> RewriteStrategy:
-    """Look up a strategy by name (None = the default witness semantics)."""
+def get_rewrite_strategy(name: str | None) -> type["AnnotationScheme"]:
+    """Look up a scheme by name (None = the default witness semantics)."""
     _ensure_builtin_strategies()
-    key = (name or DEFAULT_STRATEGY).lower()
     try:
-        return _STRATEGIES[key]
+        return _SCHEMES[(name or DEFAULT_STRATEGY).lower()]
     except KeyError:
-        known = ", ".join(sorted(_STRATEGIES))
+        known = ", ".join(sorted(_SCHEMES))
         raise RewriteError(
             f"unknown provenance semantics {name!r} (available: {known})"
         ) from None
@@ -72,10 +54,10 @@ def get_rewrite_strategy(name: str | None) -> RewriteStrategy:
 
 def rewrite_strategy_names() -> list[str]:
     _ensure_builtin_strategies()
-    return sorted(_STRATEGIES)
+    return sorted(_SCHEMES)
 
 
 def _ensure_builtin_strategies() -> None:
-    """Import the built-in strategy modules so they self-register."""
-    import repro.core.rewriter  # noqa: F401  (registers "witness")
+    """Import the built-in scheme modules so they self-register."""
+    import repro.core.witness  # noqa: F401  (registers "witness")
     import repro.semiring.rewriter  # noqa: F401  (registers "polynomial")

@@ -1,44 +1,37 @@
-"""The Perm provenance rewrite module (paper sections III-C and IV).
+"""The Perm provenance rewrite (paper sections III-C and IV, Fig. 6-7).
 
-Entry points:
+One traversal serves every contribution semantics.  It owns what the
+paper's ``traverseQueryTree`` / ``rewriteQueryNode`` own -- dispatch on the
+node class, the range-table-entry cases, and the rules whose *shape* does
+not depend on what is carried:
 
-* :func:`traverse_query_tree` -- the paper's ``traverseQueryTree``: walk a
-  query tree, rewrite every node marked ``SELECT PROVENANCE`` and return
-  the (possibly replaced) root.
-* :func:`rewrite_query_node` -- the paper's ``rewriteQueryNode``: rewrite
-  one node, returning the new node and its P-list (the list of provenance
-  attributes appended to the node's result schema).
+**SPJ** (Fig. 6.1) -- annotate every range table entry, combine the
+annotations, append them to the target list.  An entry is, in priority
+order: a ``PROVENANCE (attrs)`` from-item whose provenance is already
+computed (section IV-A.3), a base relation or ``BASERELATION`` item (rule
+R1, section IV-A.4), or a subquery, which is rewritten recursively and
+whose annotation is read through the entry (rules R2-R4).
 
-The three node classes (paper Fig. 6):
+**ASPJ** (Fig. 6.2, rule R5) -- keep the original aggregation ``q_agg``
+(HAVING/ORDER/LIMIT included), rewrite a duplicate ``d`` with aggregation
+stripped and the grouping expressions as its target list, and join
+``q_agg`` with ``d+`` on null-safe equality of the grouping attributes.
 
-**SPJ** -- rewrite every range table entry, then append one target entry
-per provenance attribute.  Base relations use rule R1 (duplicate +
-rename); subqueries are rewritten recursively (rules R2-R4 compose into
-"append the subqueries' P-lists").  Sublinks in WHERE and in the target
-list are rewritten per section IV-E.
+**Set operation** (Fig. 6.3) -- a one-leaf tree is its leaf; everything
+else is the scheme's, because there the algebra differs.
 
-**ASPJ** -- keep the original aggregation node ``q_agg`` (semantics
-preserved, including HAVING/ORDER/LIMIT), build a duplicate ``d`` with
-aggregation, HAVING and the original projection stripped and the grouping
-expressions as its target list, rewrite ``d`` as an SPJ node, and join
-``q_agg`` with ``d+`` on null-safe equality of the grouping attributes
-(rule R5).  HAVING/target sublinks attach at the new top node.
-
-**Set operation** -- binarize the set-operation tree, then per binary node
-keep the original operation ``q_set`` and join it with the rewritten
-duplicates of its two inputs: left joins on null-safe tuple equality for
-union, inner joins for intersection, and for difference attach ``T1+`` by
-equality and ``T2+`` by tuple inequality (bag) or unconditionally (set)
--- rules R6-R9, built with the Fig. 6.3b node-splitting strategy used by
-the evaluated prototype.  The except-free single-top-node variant
-(Fig. 6.3a) is available as ``setop_strategy="flat"`` for the ablation
-benchmark.
+What a base tuple is annotated with, how annotations combine, what
+duplicate elimination and the marked root do, the set-operation rules and
+the treatment of sublinks belong to an :class:`AnnotationScheme`
+(``repro.core.witness``: the paper's witness lists;
+``repro.semiring.rewriter``: ``N[X]`` polynomials).  ``docs/rewriter.md``
+maps Fig. 6-7 and rules R1-R9 onto this module and the two schemes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import copy
+from typing import Optional, Sequence
 
 from repro.datatypes import SQLType
 from repro.errors import RewriteError
@@ -48,6 +41,7 @@ from repro.analyzer.query_tree import (
     JoinTreeExpr,
     JoinTreeNode,
     Query,
+    QueryNodeClass,
     RangeTableEntry,
     RangeTableRef,
     RTEKind,
@@ -56,1000 +50,292 @@ from repro.analyzer.query_tree import (
     SetOpTreeNode,
     TargetEntry,
     binary_setop_query,
+    level_exprs,
+    make_var_for_rte_column,
     subquery_rte,
 )
-from repro.core.naming import ProvenanceAttribute, ProvenanceNamer
-from repro.core.pstack import PList, PStack, concat_plists
-from repro.core.registry import (
-    DEFAULT_STRATEGY,
-    RewriteStrategy,
-    get_rewrite_strategy,
-    register_rewrite_strategy,
-)
+from repro.core.registry import get_rewrite_strategy
 
-BOOL = SQLType.BOOLEAN
+#: The paper's P-list: the annotation of a rewritten node, as the target
+#: entries that were appended to its (visible) result schema.
+PList = list[TargetEntry]
 
 
-@dataclass
-class _ProvColumn:
-    """A provenance attribute plus the Var that reads it."""
+class AnnotationScheme:
+    """The annotation algebra of one contribution semantics.
 
-    attribute: ProvenanceAttribute
-    var: ex.Var
+    One instance serves one rewrite scope (it may count references and
+    aliases).  The defaults are the answers "nothing to do"; a scheme
+    overrides what its algebra defines.
+    """
+
+    name: str
+    description: str
+
+    def __init__(self, rewriter: "ProvenanceRewriter") -> None:
+        self.rewriter = rewriter
+
+    def alias(self, prefix: str) -> str:
+        """The alias of a subquery the traversal introduces."""
+        return prefix
+
+    def check_sublink(self, sublink: ex.SubLink) -> None:
+        """Raise :class:`RewriteError` for a sublink the scheme cannot carry."""
+
+    def base(self, relation: str, query: Query, rtindex: int) -> PList:
+        """Rule R1: the annotation of one tuple of base relation
+        ``relation``, which is range table entry ``rtindex`` of ``query``."""
+        raise NotImplementedError
+
+    def reuse(self, rte: RangeTableEntry, plist: PList) -> PList:
+        """The annotation of a from-item whose ``PROVENANCE (attrs)``
+        columns -- ``plist`` reads them -- are already computed."""
+        return plist
+
+    def combine(self, annotations: list[PList]) -> PList:
+        """The annotation of a tuple joined from the annotated inputs."""
+        raise NotImplementedError
+
+    def sublinks(self, query: Query) -> list[PList]:
+        """Annotations contributed by sublinks in WHERE and the target
+        list of SPJ node ``query`` (which is extended in place)."""
+        return []
+
+    def aggregate_sublinks(self, top: Query, q_agg: Query, width: int) -> PList:
+        """Annotation contributed by sublinks in HAVING and the first
+        ``width`` targets of ``q_agg``, attached to the ASPJ join ``top``."""
+        return []
+
+    def deduplicate(self, query: Query, plist: PList) -> tuple[Query, PList]:
+        """What DISTINCT on rewritten SPJ node ``query`` does to annotations."""
+        return query, plist
+
+    def rewrite_setop(self, query: Query, tree: SetOpNode) -> tuple[Query, PList]:
+        """Rules R6-R9 for set-operation node ``query``."""
+        raise NotImplementedError
+
+    def rewrite_root(self, query: Query) -> tuple[Query, PList]:
+        """Rewrite the marked node itself (the root of the rewrite scope)."""
+        return self.rewriter.rewrite_node(query)
 
 
 class ProvenanceRewriter:
-    """One rewrite scope: a namer plus the paper's pStack."""
+    """One rewrite scope: the traversal of Fig. 7 under one scheme."""
 
-    def __init__(self, setop_strategy: str = "split") -> None:
+    def __init__(self, scheme: type[AnnotationScheme], setop_strategy: str = "split") -> None:
         if setop_strategy not in ("split", "flat"):
             raise ValueError("setop_strategy must be 'split' or 'flat'")
-        self.namer = ProvenanceNamer()
-        self.pstack = PStack()
         self.setop_strategy = setop_strategy
-        self._sublink_counter = 0
-
-    # ------------------------------------------------------------------
-    # traverseQueryTree (paper Fig. 7)
-    # ------------------------------------------------------------------
-
-    def traverse(self, query: Query) -> Query:
-        if query.provenance:
-            rewritten, _ = self.rewrite_node(query)
-            return rewritten
-        for rte in query.range_table:
-            if rte.kind is RTEKind.SUBQUERY and rte.subquery is not None:
-                sub = rte.subquery
-                if sub.provenance and (sub.provenance_type or DEFAULT_STRATEGY) != DEFAULT_STRATEGY:
-                    # A nested node marked with a non-default semantics
-                    # (e.g. polynomial) rewrites through the registry.
-                    strategy = get_rewrite_strategy(sub.provenance_type)
-                    rewritten, attrs = strategy.rewrite_subquery(sub)
-                    rte.subquery = rewritten
-                    rte.column_names = list(rewritten.output_columns())
-                    rte.column_types = list(rewritten.output_types())
-                    if rte.provenance_attrs is None:
-                        rte.provenance_attrs = attrs
-                elif sub.provenance:
-                    rewritten, plist = self.rewrite_node(sub)
-                    rte.subquery = rewritten
-                    rte.column_names = list(rewritten.output_columns())
-                    rte.column_types = list(rewritten.output_types())
-                    if rte.provenance_attrs is None:
-                        rte.provenance_attrs = tuple(a.name for a in plist)
-                else:
-                    rte.subquery = self.traverse(sub)
-        return query
-
-    # ------------------------------------------------------------------
-    # rewriteQueryNode (paper Fig. 7)
-    # ------------------------------------------------------------------
+        self.scheme = scheme(self)
 
     def rewrite_node(self, query: Query) -> tuple[Query, PList]:
-        """Rewrite one query node; returns (q+, P-list) and pushes the
-        P-list on the pStack."""
-        self._reject_correlated(query)
-        into = query.into
-        query.into = None
-        node_class = query.node_class().value
-        if node_class == "setop":
-            rewritten, plist = self._rewrite_setop_node(query)
-        elif node_class == "aspj":
-            rewritten, plist = self._rewrite_aspj_node(query)
-        else:
-            rewritten, plist = self._rewrite_spj_node(query)
-        rewritten.provenance = False
-        rewritten.into = into
-        self.pstack.push(plist)
-        return rewritten, plist
+        """The paper's ``rewriteQueryNode``: returns ``q+``, whose last
+        visible targets are the returned P-list."""
+        for expr in level_exprs(query):
+            for node in ex.walk(expr):
+                if isinstance(node, ex.SubLink):
+                    self.scheme.check_sublink(node)
+        query.provenance = False
+        query.provenance_type = None
+        node_class = query.node_class()
+        if node_class is QueryNodeClass.SETOP:
+            tree = query.set_operations
+            if isinstance(tree, SetOpRangeRef):  # degenerate single leaf
+                return self.rewrite_node(query.range_table[tree.rtindex].subquery)
+            return self.scheme.rewrite_setop(query, tree)
+        if node_class is QueryNodeClass.ASPJ:
+            return self._rewrite_aspj_node(query)
+        return self._rewrite_spj_node(query)
 
-    # ------------------------------------------------------------------
-    # SPJ (paper Fig. 6.1)
-    # ------------------------------------------------------------------
+    # -- SPJ (Fig. 6.1) ------------------------------------------------------
 
     def _rewrite_spj_node(self, query: Query) -> tuple[Query, PList]:
-        prov_columns: list[_ProvColumn] = []
-        for rtindex, rte in enumerate(query.range_table):
-            prov_columns.extend(self._rewrite_rte(rtindex, rte))
-        # Sublinks in WHERE (section IV-E).
-        prov_columns.extend(self._rewrite_where_sublinks(query))
-        # Scalar sublinks in the target list contribute unconditionally.
-        prov_columns.extend(self._rewrite_target_sublinks(query))
-        for column in prov_columns:
-            query.target_list.append(
-                TargetEntry(expr=column.var, name=column.attribute.name)
-            )
-        return query, [c.attribute for c in prov_columns]
+        annotations = [
+            self._rewrite_rte(query, rtindex, rte)
+            for rtindex, rte in enumerate(query.range_table)
+        ]
+        annotations += self.scheme.sublinks(query)
+        plist = self.scheme.combine(annotations)
+        query.target_list.extend(plist)
+        return self.scheme.deduplicate(query, plist)
 
-    def _rewrite_rte(self, rtindex: int, rte: RangeTableEntry) -> list[_ProvColumn]:
-        """Rewrite one range table entry, returning its provenance columns.
-
-        Cases (in priority order):
-
-        1. ``PROVENANCE (attrs)`` annotation -- already rewritten/external
-           provenance (section IV-A.3): accept as-is.
-        2. ``BASERELATION`` -- rule R1 on the item's visible schema
-           (section IV-A.4).
-        3. base relation -- rule R1.
-        4. subquery -- rewrite recursively and re-export its P-list.
-        """
+    def _rewrite_rte(self, query: Query, rtindex: int, rte: RangeTableEntry) -> PList:
         if rte.provenance_attrs is not None:
-            columns: list[_ProvColumn] = []
-            for name in rte.provenance_attrs:
-                attno = self._find_column(rte, name)
-                attribute = ProvenanceAttribute(
-                    name=name.lower(),
-                    relation=rte.alias,
-                    ref_id=0,
-                    source_column=name.lower(),
-                    type=rte.column_types[attno],
-                )
-                columns.append(
-                    _ProvColumn(attribute, self._var(rtindex, attno, rte))
-                )
-            return columns
-        if rte.base_relation or rte.kind is RTEKind.RELATION:
-            relation_name = (
-                rte.relation_name
-                if rte.kind is RTEKind.RELATION and not rte.base_relation
-                else rte.alias
-            )
-            attributes = self.namer.attributes_for_relation(
-                relation_name or rte.alias,
-                list(rte.column_names),
-                list(rte.column_types),
-            )
-            return [
-                _ProvColumn(attribute, self._var(rtindex, attno, rte))
-                for attno, attribute in enumerate(attributes)
-            ]
-        # Plain subquery: rewrite recursively (the rewritten subquery's
-        # provenance attributes surface as new output columns).
-        old_width = rte.width()
-        rewritten, plist = self.rewrite_node(rte.subquery)
-        self.pstack.pop()  # consumed immediately by this parent
-        rte.subquery = rewritten
-        rte.column_names = list(rte.column_names) + [a.name for a in plist]
-        rte.column_types = list(rte.column_types) + [a.type for a in plist]
-        return [
-            _ProvColumn(
-                attribute,
-                ex.Var(
-                    varno=rtindex,
-                    varattno=old_width + offset,
-                    type=attribute.type,
-                    name=attribute.name,
-                ),
-            )
-            for offset, attribute in enumerate(plist)
-        ]
-
-    @staticmethod
-    def _find_column(rte: RangeTableEntry, name: str) -> int:
-        low = name.lower()
-        for attno, column in enumerate(rte.column_names):
-            if column.lower() == low:
-                return attno
-        raise RewriteError(
-            f"PROVENANCE attribute {name!r} not found in from-item {rte.alias!r}"
-        )
-
-    @staticmethod
-    def _var(rtindex: int, attno: int, rte: RangeTableEntry) -> ex.Var:
-        return ex.Var(
-            varno=rtindex,
-            varattno=attno,
-            type=rte.column_types[attno],
-            name=rte.column_names[attno],
-        )
-
-    # ------------------------------------------------------------------
-    # Sublinks (paper section IV-E)
-    # ------------------------------------------------------------------
-
-    def _reject_correlated(self, query: Query) -> None:
-        for expr in _node_expressions(query):
-            for node in ex.walk(expr):
-                if isinstance(node, ex.SubLink) and node.correlated:
-                    raise RewriteError(
-                        "correlated sublinks are not supported by the "
-                        "provenance rewriter (paper section IV-E)"
+            return self.scheme.reuse(
+                rte,
+                [
+                    TargetEntry(
+                        expr=make_var_for_rte_column(query, rtindex, _find_column(rte, name)),
+                        name=name.lower(),
                     )
-
-    def _rewrite_where_sublinks(self, query: Query) -> list[_ProvColumn]:
-        quals = query.jointree.quals
-        if quals is None:
-            return []
-        prov_columns: list[_ProvColumn] = []
-        for sublink in _ordered_sublinks(quals):
-            join_cond, columns = self._build_sublink_join(
-                query, sublink, condition=quals
+                    for name in rte.provenance_attrs
+                ],
             )
-            self._attach_left_join(query, join_cond)
-            prov_columns.extend(columns)
-        return prov_columns
+        if rte.base_relation or rte.kind is RTEKind.RELATION:
+            named_by_relation = rte.kind is RTEKind.RELATION and not rte.base_relation
+            relation = (rte.relation_name if named_by_relation else None) or rte.alias
+            return self.scheme.base(relation, query, rtindex)
+        # Plain subquery: its annotation surfaces as new output columns.
+        old_width = rte.width()
+        rte.subquery, plist = self.rewrite_node(rte.subquery)
+        rte.column_names = list(rte.column_names) + [entry.name for entry in plist]
+        rte.column_types = list(rte.column_types) + [entry.expr.type for entry in plist]
+        return read_plist(query, rtindex, old_width, plist)
 
-    def _rewrite_target_sublinks(self, query: Query) -> list[_ProvColumn]:
-        prov_columns: list[_ProvColumn] = []
-        for target in list(query.target_list):
-            for sublink in _ordered_sublinks(target.expr):
-                join_cond, columns = self._build_sublink_join(
-                    query, sublink, condition=None
-                )
-                self._attach_left_join(query, join_cond)
-                prov_columns.extend(columns)
-        return prov_columns
-
-    def _build_sublink_join(
-        self,
-        query: Query,
-        sublink: ex.SubLink,
-        condition: Optional[ex.Expr],
-    ) -> tuple[ex.Expr, list[_ProvColumn]]:
-        """Add the rewritten sublink query to the range table.
-
-        Returns the join condition ``J'`` and the provenance columns.  The
-        original condition keeps the untouched sublink for filtering; the
-        rewritten *copy* is joined in purely to attach provenance.
-        """
-        sub_original_width = len(sublink.subquery.visible_targets)
-        sub_copy = sublink.subquery.deep_copy()
-        rewritten, plist = self.rewrite_node(sub_copy)
-        self.pstack.pop()
-        alias = f"perm_sublink_{self._sublink_counter}"
-        self._sublink_counter += 1
-        rte = RangeTableEntry(
-            kind=RTEKind.SUBQUERY,
-            alias=alias,
-            column_names=list(rewritten.output_columns()),
-            column_types=list(rewritten.output_types()),
-            subquery=rewritten,
-        )
-        rtindex = query.add_rte(rte)
-
-        join_cond = self._witness_condition(sublink, rtindex, rte)
-        if condition is not None:
-            independent = _simplify_bools(_neutralize_sublink(condition, sublink))
-            if not _is_const_false(independent):
-                join_cond = ex.BoolOpExpr("or", (join_cond, independent))
-
-        columns = [
-            _ProvColumn(
-                attribute,
-                ex.Var(
-                    varno=rtindex,
-                    varattno=sub_original_width + offset,
-                    type=attribute.type,
-                    name=attribute.name,
-                ),
-            )
-            for offset, attribute in enumerate(plist)
-        ]
-        return join_cond, columns
-
-    def _witness_condition(
-        self, sublink: ex.SubLink, rtindex: int, rte: RangeTableEntry
-    ) -> ex.Expr:
-        """The contribution condition J for one sublink tuple.
-
-        * ANY (IN): tuples satisfying the comparison witness the result.
-        * ALL (NOT IN as ``<> ALL``): the result holds only when *every*
-          tuple satisfies the comparison, so exactly the tuples satisfying
-          it contribute (the paper's Q16 discussion: every tuple that did
-          not fulfill the original IN condition).
-        * EXISTS / scalar: every tuple of the sublink query contributes.
-        """
-        if sublink.kind in (ex.SubLinkKind.ANY, ex.SubLinkKind.ALL):
-            sub_var = ex.Var(
-                varno=rtindex,
-                varattno=0,
-                type=rte.column_types[0],
-                name=rte.column_names[0],
-            )
-            return ex.OpExpr(
-                sublink.operator or "=", (sublink.testexpr, sub_var), BOOL
-            )
-        return ex.Const(True, BOOL)
-
-    @staticmethod
-    def _attach_left_join(query: Query, join_cond: ex.Expr) -> None:
-        """LEFT JOIN the last range table entry against the rest of FROM."""
-        new_ref = RangeTableRef(len(query.range_table) - 1)
-        items = query.jointree.items
-        if not items:
-            # FROM-less query with a sublink: the join degenerates to a
-            # filtered scan of the sublink relation preserving emptiness.
-            query.jointree.items = [new_ref]
-            existing_quals = query.jointree.quals
-            query.jointree.quals = (
-                join_cond
-                if existing_quals is None
-                else ex.BoolOpExpr("and", (existing_quals, join_cond))
-            )
-            return
-        left: JoinTreeNode = items[0]
-        for item in items[1:]:
-            left = JoinTreeExpr(join_type="inner", left=left, right=item, quals=None)
-        query.jointree.items = [
-            JoinTreeExpr(join_type="left", left=left, right=new_ref, quals=join_cond)
-        ]
-
-    # ------------------------------------------------------------------
-    # ASPJ (paper Fig. 6.2, rule R5)
-    # ------------------------------------------------------------------
+    # -- ASPJ (Fig. 6.2, rule R5) --------------------------------------------
 
     def _rewrite_aspj_node(self, query: Query) -> tuple[Query, PList]:
-        group_count = len(query.group_clause)
-
-        # q_agg: the original aggregation, kept intact; extended with its
-        # grouping expressions so the top node can join on them.
+        # q_agg: the original aggregation, kept intact and extended with
+        # its grouping expressions so the top node can join on them.
         q_agg = query
-        q_agg.provenance = False
+        groups = list(query.group_clause)
         original_width = len(q_agg.visible_targets)
-        agg_group_slots: list[int] = []
-        for i, group_expr in enumerate(query.group_clause):
-            q_agg.target_list.append(
-                TargetEntry(expr=group_expr, name=f"perm_g{i}")
-            )
-            agg_group_slots.append(original_width + i)
 
-        # d: the duplicate with aggregation stripped (target list = the
-        # grouping expressions), rewritten as an SPJ node.
-        having = q_agg.having
+        def group_targets() -> list[TargetEntry]:
+            return [TargetEntry(expr=g, name=f"perm_g{i}") for i, g in enumerate(groups)]
+
+        q_agg.target_list.extend(group_targets())
+        # d: the duplicate with aggregation, HAVING and the original
+        # projection stripped, rewritten as an SPJ node.
         duplicate = Query(
-            target_list=[
-                TargetEntry(expr=g, name=f"perm_g{i}")
-                for i, g in enumerate(query.group_clause)
-            ],
-            range_table=[_copy_rte(rte) for rte in query.range_table],
-            jointree=_copy_jointree(query.jointree),
-            group_clause=[],
-            having=None,
-            distinct=False,
-            has_aggs=False,
+            target_list=group_targets(),
+            range_table=[copy.deepcopy(rte) for rte in query.range_table],
+            jointree=copy.deepcopy(query.jointree),
         )
         d_plus, d_plist = self.rewrite_node(duplicate)
-        self.pstack.pop()
+        # NULL group keys match their NULL group, as GROUP BY itself treats
+        # NULLs as equal.
+        top = join_on_equality(
+            q_agg,
+            self.scheme.alias("perm_agg"),
+            [(d_plus, self.scheme.alias("perm_prov"), "inner")],
+            original_width,
+            on=[(original_width + i, i) for i in range(len(groups))],
+        )
+        plist = read_plist(top, 1, len(groups), d_plist)
+        plist += self.scheme.aggregate_sublinks(top, q_agg, original_width)
+        top.target_list.extend(plist)
+        return top, plist
 
-        # Qtop: join q_agg with d+ on null-safe equality of the grouping
-        # attributes (NULL group keys match their NULL group, as GROUP BY
-        # itself treats NULLs as equal).
-        top = Query()
-        agg_rte = _subquery_rte(q_agg, alias="perm_agg")
-        prov_rte = _subquery_rte(d_plus, alias="perm_prov")
-        agg_index = top.add_rte(agg_rte)
-        prov_index = top.add_rte(prov_rte)
-        join_quals: Optional[ex.Expr] = None
+
+# ---------------------------------------------------------------------------
+# Builders shared with the schemes' set-operation rules
+# ---------------------------------------------------------------------------
+
+
+def join_on_equality(
+    keep: Query,
+    keep_alias: str,
+    inputs: Sequence[tuple[Query, str, str]],
+    width: int,
+    on: Optional[Sequence[tuple[int, int]]] = None,
+) -> Query:
+    """``keep`` (original semantics) joined with annotated ``inputs``.
+
+    The new node's range table is ``keep`` followed by the inputs, each
+    given as (query, alias, join type) and joined, left-deep, on
+    null-safe equality of ``keep`` column ``k`` and its own column ``i``
+    for every ``(k, i)`` in ``on`` -- by default tuple equality over
+    the first ``width`` columns.  Its target list is those ``width``
+    columns of ``keep``; callers append the annotation.
+    """
+    if on is None:
+        on = [(attno, attno) for attno in range(width)]
+    top = Query()
+    keep_index = top.add_rte(subquery_rte(keep, alias=keep_alias))
+    joined: JoinTreeNode = RangeTableRef(keep_index)
+    for query, alias, join_type in inputs:
+        rtindex = top.add_rte(subquery_rte(query, alias=alias))
         conjuncts = [
             ex.OpExpr(
                 "<=>",
                 (
-                    ex.Var(
-                        varno=agg_index,
-                        varattno=agg_group_slots[i],
-                        type=query.group_clause[i].type,
-                        name=f"perm_g{i}",
-                    ),
-                    ex.Var(
-                        varno=prov_index,
-                        varattno=i,
-                        type=query.group_clause[i].type,
-                        name=f"perm_g{i}",
-                    ),
+                    make_var_for_rte_column(top, keep_index, keep_attno),
+                    make_var_for_rte_column(top, rtindex, attno),
                 ),
-                BOOL,
+                SQLType.BOOLEAN,
             )
-            for i in range(group_count)
+            for keep_attno, attno in on
         ]
-        if conjuncts:
-            join_quals = (
-                conjuncts[0]
-                if len(conjuncts) == 1
-                else ex.BoolOpExpr("and", tuple(conjuncts))
-            )
-        top.jointree = FromExpr(
-            items=[
-                JoinTreeExpr(
-                    join_type="inner",
-                    left=RangeTableRef(agg_index),
-                    right=RangeTableRef(prov_index),
-                    quals=join_quals,
-                )
-            ]
+        joined = JoinTreeExpr(
+            join_type=join_type,
+            left=joined,
+            right=RangeTableRef(rtindex),
+            quals=_conjoin(conjuncts),
         )
+    top.jointree = FromExpr(items=[joined])
+    for attno in range(width):
+        var = make_var_for_rte_column(top, keep_index, attno)
+        top.target_list.append(TargetEntry(expr=var, name=var.name))
+    return top
 
-        # Top target list: the original visible outputs, then provenance.
-        for attno in range(original_width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=ex.Var(
-                        varno=agg_index,
-                        varattno=attno,
-                        type=agg_rte.column_types[attno],
-                        name=agg_rte.column_names[attno],
-                    ),
-                    name=agg_rte.column_names[attno],
-                )
-            )
-        prov_columns: list[_ProvColumn] = [
-            _ProvColumn(
-                attribute,
-                ex.Var(
-                    varno=prov_index,
-                    varattno=group_count + offset,
-                    type=attribute.type,
-                    name=attribute.name,
-                ),
-            )
-            for offset, attribute in enumerate(d_plist)
-        ]
-        # Sublinks in HAVING and in aggregate target expressions attach
-        # their provenance at the top node (q_agg keeps the originals).
-        prov_columns.extend(
-            self._rewrite_top_level_sublinks(
-                top, q_agg, agg_index, having, original_width
-            )
+
+def read_plist(query: Query, rtindex: int, base_width: int, plist: PList) -> PList:
+    """``plist`` of the subquery in range table entry ``rtindex`` as seen
+    from ``query``: Vars over the entry's columns from ``base_width`` on."""
+    return [
+        TargetEntry(
+            expr=make_var_for_rte_column(query, rtindex, base_width + offset),
+            name=entry.name,
         )
-        for column in prov_columns:
-            top.target_list.append(
-                TargetEntry(expr=column.var, name=column.attribute.name)
-            )
-        return top, [c.attribute for c in prov_columns]
+        for offset, entry in enumerate(plist)
+    ]
 
-    def _rewrite_top_level_sublinks(
-        self,
-        top: Query,
-        q_agg: Query,
-        agg_index: int,
-        having: Optional[ex.Expr],
-        original_width: int,
-    ) -> list[_ProvColumn]:
-        """Attach provenance for sublinks in HAVING / aggregate targets.
 
-        The witness condition may reference aggregate results; those are
-        exported from ``q_agg`` as extra columns so the top-level join can
-        evaluate them.
-        """
-        prov_columns: list[_ProvColumn] = []
-        sublinks: list[tuple[ex.SubLink, Optional[ex.Expr]]] = []
-        if having is not None:
-            sublinks.extend(
-                (sublink, having) for sublink in _ordered_sublinks(having)
-            )
-        for target in q_agg.target_list[:original_width]:
-            sublinks.extend(
-                (sublink, None) for sublink in _ordered_sublinks(target.expr)
-            )
-        for sublink, condition in sublinks:
-            prov_columns.extend(
-                self._attach_top_sublink(top, q_agg, agg_index, sublink, condition)
-            )
-        return prov_columns
+def _conjoin(conjuncts: list[ex.Expr]) -> Optional[ex.Expr]:
+    if len(conjuncts) <= 1:
+        return conjuncts[0] if conjuncts else None
+    return ex.BoolOpExpr("and", tuple(conjuncts))
 
-    def _attach_top_sublink(
-        self,
-        top: Query,
-        q_agg: Query,
-        agg_index: int,
-        sublink: ex.SubLink,
-        condition: Optional[ex.Expr],
-    ) -> list[_ProvColumn]:
-        sub_original_width = len(sublink.subquery.visible_targets)
-        sub_copy = sublink.subquery.deep_copy()
-        rewritten, plist = self.rewrite_node(sub_copy)
-        self.pstack.pop()
-        alias = f"perm_sublink_{self._sublink_counter}"
-        self._sublink_counter += 1
-        rte = RangeTableEntry(
-            kind=RTEKind.SUBQUERY,
-            alias=alias,
-            column_names=list(rewritten.output_columns()),
-            column_types=list(rewritten.output_types()),
-            subquery=rewritten,
-        )
-        rtindex = top.add_rte(rte)
 
-        if sublink.kind in (ex.SubLinkKind.ANY, ex.SubLinkKind.ALL):
-            # Export the test expression (which may contain aggregates)
-            # from q_agg and compare it with the sublink output column.
-            test_slot = len(q_agg.target_list)
-            q_agg.target_list.append(
-                TargetEntry(expr=sublink.testexpr, name=f"perm_ht{rtindex}")
-            )
-            agg_rte = top.range_table[agg_index]
-            agg_rte.column_names.append(f"perm_ht{rtindex}")
-            agg_rte.column_types.append(sublink.testexpr.type)
-            test_var = ex.Var(
-                varno=agg_index,
-                varattno=self._visible_position(q_agg, test_slot),
-                type=sublink.testexpr.type,
-                name=f"perm_ht{rtindex}",
-            )
-            sub_var = ex.Var(
-                varno=rtindex,
-                varattno=0,
-                type=rte.column_types[0],
-                name=rte.column_names[0],
-            )
-            join_cond: ex.Expr = ex.OpExpr(
-                sublink.operator or "=", (test_var, sub_var), BOOL
-            )
-            if condition is not None:
-                independent = _simplify_bools(
-                    _neutralize_sublink(condition, sublink)
-                )
-                if not _is_const_false(independent):
-                    indep_slot = len(q_agg.target_list)
-                    q_agg.target_list.append(
-                        TargetEntry(expr=independent, name=f"perm_hi{rtindex}")
-                    )
-                    agg_rte.column_names.append(f"perm_hi{rtindex}")
-                    agg_rte.column_types.append(BOOL)
-                    indep_var = ex.Var(
-                        varno=agg_index,
-                        varattno=self._visible_position(q_agg, indep_slot),
-                        type=BOOL,
-                        name=f"perm_hi{rtindex}",
-                    )
-                    join_cond = ex.BoolOpExpr("or", (join_cond, indep_var))
-        else:
-            join_cond = ex.Const(True, BOOL)
+def subtree_query(query: Query, node: SetOpTreeNode) -> Query:
+    """Materialize a set-operation subtree as its own query node."""
+    if isinstance(node, SetOpRangeRef):
+        return query.range_table[node.rtindex].subquery
+    left = subtree_query(query, node.left)
+    right = subtree_query(query, node.right)
+    return binary_setop_query(node.op, node.all, left, right)
 
-        top.jointree.items = [
-            JoinTreeExpr(
-                join_type="left",
-                left=top.jointree.items[0],
-                right=RangeTableRef(rtindex),
-                quals=join_cond,
-            )
-        ]
-        return [
-            _ProvColumn(
-                attribute,
-                ex.Var(
-                    varno=rtindex,
-                    varattno=sub_original_width + offset,
-                    type=attribute.type,
-                    name=attribute.name,
-                ),
-            )
-            for offset, attribute in enumerate(plist)
-        ]
 
-    @staticmethod
-    def _visible_position(query: Query, tlist_index: int) -> int:
-        """Output position of target ``tlist_index`` (junk removed)."""
-        position = 0
-        for i, target in enumerate(query.target_list):
-            if i == tlist_index:
-                return position
-            if not target.resjunk:
-                position += 1
-        raise RewriteError("target index out of range")  # pragma: no cover
-
-    # ------------------------------------------------------------------
-    # Set operations (paper Fig. 6.3, rules R6-R9)
-    # ------------------------------------------------------------------
-
-    def _rewrite_setop_node(self, query: Query) -> tuple[Query, PList]:
-        tree = query.set_operations
-        assert tree is not None
-        if isinstance(tree, SetOpRangeRef):  # degenerate single leaf
-            inner = query.range_table[tree.rtindex].subquery
-            return self.rewrite_node(inner)
-        # The flat strategy (Fig. 6.3a) is only equivalent for homogeneous
-        # except-free trees: mixed trees need the per-node membership
-        # semijoins that the splitting strategy provides.
-        ops = _tree_operators(tree)
-        if self.setop_strategy == "flat" and len(ops) == 1 and "except" not in ops:
-            return self._rewrite_setop_flat(query, tree)
-        return self._rewrite_setop_split(query, tree)
-
-    def _rewrite_setop_split(
-        self, query: Query, tree: SetOpNode
-    ) -> tuple[Query, PList]:
-        """Fig. 6.3b: split into a binary node, rewrite both inputs."""
-        left_query = self._subtree_query(query, tree.left)
-        right_query = self._subtree_query(query, tree.right)
-
-        # The original binary set operation, kept for the original result;
-        # it inherits the original node's ORDER BY / LIMIT so the original
-        # semantics (e.g. LIMIT before provenance expansion) is preserved.
-        q_set = _binary_setop_query(tree.op, tree.all, left_query, right_query)
-        q_set.sort_clause = list(query.sort_clause)
-        q_set.limit_count = query.limit_count
-        q_set.limit_offset = query.limit_offset
-
-        left_dup, left_plist = self.rewrite_node(left_query.deep_copy())
-        self.pstack.pop()
-        right_dup, right_plist = self.rewrite_node(right_query.deep_copy())
-        self.pstack.pop()
-
-        top = Query()
-        set_rte = _subquery_rte(q_set, alias="perm_set")
-        set_index = top.add_rte(set_rte)
-        left_rte = _subquery_rte(left_dup, alias="perm_left")
-        left_index = top.add_rte(left_rte)
-        width = len(set_rte.column_names)
-
-        def tuple_eq(other_index: int) -> ex.Expr:
-            conjuncts = [
-                ex.OpExpr(
-                    "<=>",
-                    (
-                        _rte_var(top, set_index, attno),
-                        _rte_var(top, other_index, attno),
-                    ),
-                    BOOL,
-                )
-                for attno in range(width)
-            ]
-            if len(conjuncts) == 1:
-                return conjuncts[0]
-            return ex.BoolOpExpr("and", tuple(conjuncts))
-
-        if tree.op == "union":
-            # R6: left joins on tuple equality with both rewritten inputs.
-            join1 = JoinTreeExpr(
-                join_type="left",
-                left=RangeTableRef(set_index),
-                right=RangeTableRef(left_index),
-                quals=tuple_eq(left_index),
-            )
-            right_rte = _subquery_rte(right_dup, alias="perm_right")
-            right_index = top.add_rte(right_rte)
-            join2 = JoinTreeExpr(
-                join_type="left",
-                left=join1,
-                right=RangeTableRef(right_index),
-                quals=tuple_eq(right_index),
-            )
-            top.jointree = FromExpr(items=[join2])
-        elif tree.op == "intersect":
-            # R7: inner joins on tuple equality with both rewritten inputs.
-            join1 = JoinTreeExpr(
-                join_type="inner",
-                left=RangeTableRef(set_index),
-                right=RangeTableRef(left_index),
-                quals=tuple_eq(left_index),
-            )
-            right_rte = _subquery_rte(right_dup, alias="perm_right")
-            right_index = top.add_rte(right_rte)
-            join2 = JoinTreeExpr(
-                join_type="inner",
-                left=join1,
-                right=RangeTableRef(right_index),
-                quals=tuple_eq(right_index),
-            )
-            top.jointree = FromExpr(items=[join2])
-        else:  # except
-            # R8/R9: T1+ attaches by equality; T2+ by tuple inequality for
-            # the bag version, unconditionally for the set version (every
-            # T2 tuple differs from a surviving result tuple).
-            join1 = JoinTreeExpr(
-                join_type="left",
-                left=RangeTableRef(set_index),
-                right=RangeTableRef(left_index),
-                quals=tuple_eq(left_index),
-            )
-            right_rte = _subquery_rte(right_dup, alias="perm_right")
-            right_index = top.add_rte(right_rte)
-            if tree.all:
-                inequality = ex.BoolOpExpr("not", (tuple_eq(right_index),))
-            else:
-                inequality = ex.Const(True, BOOL)
-            join2 = JoinTreeExpr(
-                join_type="left",
-                left=join1,
-                right=RangeTableRef(right_index),
-                quals=inequality,
-            )
-            top.jointree = FromExpr(items=[join2])
-
-        for attno in range(width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=_rte_var(top, set_index, attno),
-                    name=set_rte.column_names[attno],
-                )
-            )
-        prov_columns = self._reexport_plist(
-            top, left_index, left_plist, base_width=len(left_query.visible_targets)
-        )
-        prov_columns += self._reexport_plist(
-            top, right_index, right_plist, base_width=len(right_query.visible_targets)
-        )
-        for column in prov_columns:
-            top.target_list.append(
-                TargetEntry(expr=column.var, name=column.attribute.name)
-            )
-        return top, [c.attribute for c in prov_columns]
-
-    def _rewrite_setop_flat(
-        self, query: Query, tree: SetOpNode
-    ) -> tuple[Query, PList]:
-        """Fig. 6.3a: one top node joining q_set with all rewritten leaves.
-
-        Only valid for except-free trees.  Union leaves attach by left
-        join, intersection leaves by inner join, on null-safe tuple
-        equality with the set operation result.
-        """
-        join_kind = "left" if tree.op == "union" else "inner"
-        leaves = [(ref, join_kind) for ref in _tree_leaf_refs(tree)]
-        q_set = query  # the original set operation query node, unchanged
-        q_set.provenance = False
-
-        top = Query()
-        set_rte = _subquery_rte(q_set, alias="perm_set")
-        set_index = top.add_rte(set_rte)
-        width = len(set_rte.column_names)
-        current: JoinTreeNode = RangeTableRef(set_index)
-        prov_columns: list[_ProvColumn] = []
-        for leaf_number, (leaf_ref, join_kind) in enumerate(leaves):
-            leaf_query = q_set.range_table[leaf_ref.rtindex].subquery
-            leaf_width = len(leaf_query.visible_targets)
-            rewritten, plist = self.rewrite_node(leaf_query.deep_copy())
-            self.pstack.pop()
-            leaf_rte = _subquery_rte(rewritten, alias=f"perm_leaf_{leaf_number}")
-            leaf_index = top.add_rte(leaf_rte)
-            conjuncts = [
-                ex.OpExpr(
-                    "<=>",
-                    (
-                        _rte_var(top, set_index, attno),
-                        _rte_var(top, leaf_index, attno),
-                    ),
-                    BOOL,
-                )
-                for attno in range(width)
-            ]
-            quals: ex.Expr = (
-                conjuncts[0]
-                if len(conjuncts) == 1
-                else ex.BoolOpExpr("and", tuple(conjuncts))
-            )
-            current = JoinTreeExpr(
-                join_type=join_kind, left=current, right=RangeTableRef(leaf_index),
-                quals=quals,
-            )
-            prov_columns += self._reexport_plist(
-                top, leaf_index, plist, base_width=leaf_width
-            )
-        top.jointree = FromExpr(items=[current])
-        for attno in range(width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=_rte_var(top, set_index, attno),
-                    name=set_rte.column_names[attno],
-                )
-            )
-        for column in prov_columns:
-            top.target_list.append(
-                TargetEntry(expr=column.var, name=column.attribute.name)
-            )
-        return top, [c.attribute for c in prov_columns]
-
-    def _subtree_query(self, query: Query, node: SetOpTreeNode) -> Query:
-        """Materialize a set-operation subtree as its own query node."""
-        if isinstance(node, SetOpRangeRef):
-            return query.range_table[node.rtindex].subquery
-        left = self._subtree_query(query, node.left)
-        right = self._subtree_query(query, node.right)
-        return _binary_setop_query(node.op, node.all, left, right)
-
-    @staticmethod
-    def _reexport_plist(
-        top: Query, rtindex: int, plist: PList, base_width: int
-    ) -> list[_ProvColumn]:
-        return [
-            _ProvColumn(
-                attribute,
-                ex.Var(
-                    varno=rtindex,
-                    varattno=base_width + offset,
-                    type=attribute.type,
-                    name=attribute.name,
-                ),
-            )
-            for offset, attribute in enumerate(plist)
-        ]
+def _find_column(rte: RangeTableEntry, name: str) -> int:
+    for attno, column in enumerate(rte.column_names):
+        if column.lower() == name.lower():
+            return attno
+    raise RewriteError(
+        f"PROVENANCE attribute {name!r} not found in from-item {rte.alias!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
-# Public entry points
+# Entry points
 # ---------------------------------------------------------------------------
+
+
+def rewrite_marked_node(
+    query: Query, setop_strategy: str = "split"
+) -> tuple[Query, tuple[str, ...]]:
+    """Rewrite a node marked ``SELECT PROVENANCE [(semantics)]`` under the
+    scheme it names; returns ``q+`` and its provenance attribute names.
+
+    The one place a marked node meets its semantics: the analyzer calls it
+    for marked FROM subqueries, views, sublink queries and set-operation
+    operands (so enclosing queries see the rewritten schema),
+    :func:`traverse_query_tree` for a marked root.
+    """
+    scheme = get_rewrite_strategy(query.provenance_type)
+    rewriter = ProvenanceRewriter(scheme, setop_strategy)
+    into, query.into = query.into, None
+    rewritten, plist = rewriter.scheme.rewrite_root(query)
+    rewritten.into = into
+    return rewritten, tuple(entry.name for entry in plist)
 
 
 def traverse_query_tree(query: Query, setop_strategy: str = "split") -> Query:
-    """Rewrite all provenance-marked nodes of a query tree (Fig. 7).
+    """The paper's ``traverseQueryTree``: rewrite what is marked.
 
-    A root marked with a non-default contribution semantics (``SELECT
-    PROVENANCE (polynomial) ...``) dispatches to the registered rewrite
-    strategy; everything else takes the witness-list path.
+    Marked nodes below the root were already rewritten when the analyzer
+    met them, so only the root is left to look at.
     """
-    if query.provenance and (query.provenance_type or DEFAULT_STRATEGY) != DEFAULT_STRATEGY:
-        return get_rewrite_strategy(query.provenance_type).rewrite_root(query)
-    return ProvenanceRewriter(setop_strategy).traverse(query)
-
-
-def rewrite_query_node(
-    query: Query, setop_strategy: str = "split"
-) -> tuple[Query, PList]:
-    """Rewrite one query node unconditionally; returns (q+, P-list)."""
-    return ProvenanceRewriter(setop_strategy).rewrite_node(query)
-
-
-def _rewrite_witness_root(query: Query) -> Query:
-    rewritten, _ = ProvenanceRewriter().rewrite_node(query)
-    return rewritten
-
-
-def _rewrite_witness_subquery(query: Query) -> tuple[Query, tuple[str, ...]]:
-    rewritten, plist = ProvenanceRewriter().rewrite_node(query)
-    return rewritten, tuple(a.name for a in plist)
-
-
-register_rewrite_strategy(
-    RewriteStrategy(
-        name="witness",
-        description="witness lists: contributing base tuples per result tuple",
-        rewrite_root=_rewrite_witness_root,
-        rewrite_subquery=_rewrite_witness_subquery,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Helpers
-# ---------------------------------------------------------------------------
-
-
-def _node_expressions(query: Query):
-    for target in query.target_list:
-        yield target.expr
-    if query.jointree.quals is not None:
-        yield query.jointree.quals
-    stack = list(query.jointree.items)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, JoinTreeExpr):
-            if node.quals is not None:
-                yield node.quals
-            stack.append(node.left)
-            stack.append(node.right)
-    yield from query.group_clause
-    if query.having is not None:
-        yield query.having
-
-
-def _ordered_sublinks(expr: ex.Expr) -> list[ex.SubLink]:
-    """Sublinks in deterministic left-to-right pre-order."""
-    found: list[ex.SubLink] = []
-
-    def visit(node: ex.Expr) -> None:
-        if isinstance(node, ex.SubLink):
-            found.append(node)
-        for child in node.children():
-            visit(child)
-
-    visit(expr)
-    return found
-
-
-def _replace_node(expr: ex.Expr, target: ex.Expr, replacement: ex.Expr) -> ex.Expr:
-    """Replace ``target`` (by identity) inside ``expr``."""
-    if expr is target:
-        return replacement
-    children = expr.children()
-    if not children:
-        return expr
-    new_children = [_replace_node(c, target, replacement) for c in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return expr
-    return ex.rebuild_with_children(expr, new_children)
-
-
-def _contains_node(expr: ex.Expr, target: ex.Expr) -> bool:
-    return any(node is target for node in ex.walk(expr))
-
-
-def _neutralize_sublink(condition: ex.Expr, sublink: ex.SubLink) -> ex.Expr:
-    """``condition`` with the sublink's contribution made FALSE.
-
-    Boolean sublinks (EXISTS, ANY, ALL) are replaced directly.  A *scalar*
-    sublink appears as a non-boolean operand (``x = (SELECT ...)``); there
-    the tightest boolean predicate containing it is replaced, keeping the
-    result well-typed (``x = FALSE`` would be a float/boolean comparison —
-    and, insidiously, ``0.0 = FALSE`` holds in the value domain).
-    """
-    if condition is sublink:
-        return ex.Const(False, BOOL)
-    if not _contains_node(condition, sublink):
-        return condition
-    if isinstance(condition, ex.BoolOpExpr):
-        return ex.BoolOpExpr(
-            condition.op,
-            tuple(_neutralize_sublink(a, sublink) for a in condition.args),
-        )
-    # A non-AND/OR/NOT predicate containing the sublink: the whole
-    # predicate is governed by the sublink's value.
-    return ex.Const(False, BOOL)
-
-
-def _simplify_bools(expr: ex.Expr) -> ex.Expr:
-    """Constant-fold boolean structure (enough to drop ``x OR FALSE``)."""
-    if isinstance(expr, ex.BoolOpExpr):
-        args = [_simplify_bools(a) for a in expr.args]
-        if expr.op == "not":
-            arg = args[0]
-            if isinstance(arg, ex.Const) and arg.type == BOOL:
-                if arg.value is None:
-                    return ex.Const(None, BOOL)
-                return ex.Const(not arg.value, BOOL)
-            return ex.BoolOpExpr("not", (arg,))
-        keep: list[ex.Expr] = []
-        if expr.op == "and":
-            for arg in args:
-                if isinstance(arg, ex.Const) and arg.value is True:
-                    continue
-                if isinstance(arg, ex.Const) and arg.value is False:
-                    return ex.Const(False, BOOL)
-                keep.append(arg)
-            if not keep:
-                return ex.Const(True, BOOL)
-        else:  # or
-            for arg in args:
-                if isinstance(arg, ex.Const) and arg.value is False:
-                    continue
-                if isinstance(arg, ex.Const) and arg.value is True:
-                    return ex.Const(True, BOOL)
-                keep.append(arg)
-            if not keep:
-                return ex.Const(False, BOOL)
-        if len(keep) == 1:
-            return keep[0]
-        return ex.BoolOpExpr(expr.op, tuple(keep))
-    return expr
-
-
-def _is_const_false(expr: ex.Expr) -> bool:
-    return isinstance(expr, ex.Const) and expr.value is False
-
-
-def _tree_operators(node: SetOpTreeNode) -> set[str]:
-    if isinstance(node, SetOpRangeRef):
-        return set()
-    return {node.op} | _tree_operators(node.left) | _tree_operators(node.right)
-
-
-def _tree_leaf_refs(node: SetOpTreeNode) -> list[SetOpRangeRef]:
-    if isinstance(node, SetOpRangeRef):
-        return [node]
-    return _tree_leaf_refs(node.left) + _tree_leaf_refs(node.right)
-
-
-def _rte_var(query: Query, rtindex: int, attno: int) -> ex.Var:
-    rte = query.range_table[rtindex]
-    return ex.Var(
-        varno=rtindex,
-        varattno=attno,
-        type=rte.column_types[attno],
-        name=rte.column_names[attno],
-    )
-
-
-# Shared query-tree builders; kept under their historical local names.
-_subquery_rte = subquery_rte
-_binary_setop_query = binary_setop_query
-
-
-def _copy_rte(rte: RangeTableEntry) -> RangeTableEntry:
-    import copy as _copy
-
-    return _copy.deepcopy(rte)
-
-
-def _copy_jointree(jointree: FromExpr) -> FromExpr:
-    import copy as _copy
-
-    return _copy.deepcopy(jointree)
+    if query.provenance:
+        query, _ = rewrite_marked_node(query, setop_strategy)
+    return query

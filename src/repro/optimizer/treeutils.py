@@ -32,6 +32,7 @@ from repro.analyzer.query_tree import (
     Query,
     RangeTableRef,
     RTEKind,
+    level_exprs,
     setop_leaf_indexes,
 )
 from repro.errors import PermError
@@ -68,29 +69,6 @@ def map_level_exprs(query: Query, fn: ExprFn) -> None:
         query.limit_count = fn(query.limit_count)
     if query.limit_offset is not None:
         query.limit_offset = fn(query.limit_offset)
-
-
-def level_exprs(query: Query) -> Iterator[ex.Expr]:
-    """Read-only iteration over the expressions owned by ``query``."""
-    for target in query.target_list:
-        yield target.expr
-    if query.jointree.quals is not None:
-        yield query.jointree.quals
-    stack: list[JoinTreeNode] = list(query.jointree.items)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, JoinTreeExpr):
-            if node.quals is not None:
-                yield node.quals
-            stack.append(node.left)
-            stack.append(node.right)
-    yield from query.group_clause
-    if query.having is not None:
-        yield query.having
-    if query.limit_count is not None:
-        yield query.limit_count
-    if query.limit_offset is not None:
-        yield query.limit_offset
 
 
 # ---------------------------------------------------------------------------

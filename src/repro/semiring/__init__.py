@@ -9,9 +9,10 @@ multiplicities (counting), lineage (boolean), minimal derivation cost
 (tropical) or any custom domain.
 
 Intentionally lightweight: importing this package pulls only the value
-types and the semiring registry.  The rewrite strategy itself
-(``repro.semiring.rewriter``) loads on demand through the rewrite
-strategy registry in ``repro.core.registry``.
+types and the semiring registry.  The polynomial annotation scheme
+(``repro.semiring.rewriter``), which the one traversal of
+``repro.core.rewriter`` runs under, loads on demand through the registry
+in ``repro.core.registry``.
 """
 
 from repro.semiring.minting import TupleVariableMinter, mint_variable

@@ -1,100 +1,137 @@
-"""The polynomial rewrite strategy: ``SELECT PROVENANCE (polynomial)``.
+"""The polynomial annotation scheme: ``SELECT PROVENANCE (polynomial)``.
 
-Like the witness-list rewrite (``repro.core.rewriter``), this module
-turns a marked query node into an *ordinary* query over the same data
-model.  Instead of one column block per contributing base tuple, the
-rewritten query carries a single annotation column ``prov_polynomial``
-holding the tuple's ``N[X]`` provenance polynomial (Green et al.;
-captured through query rewriting as in Pintor et al.).
+A tuple is annotated with *one column*, ``prov_polynomial``, holding its
+``N[X]`` provenance polynomial (Green et al.; captured through query
+rewriting as in Pintor et al.).  Under the shared traversal of
+``repro.core.rewriter`` every node emits one row per *derivation*:
 
-The rewrite has two layers:
+* base relations mint one tuple variable per row (rule R1's counterpart;
+  identity columns chosen from the catalog by :class:`TupleVariableMinter`),
+* joins/products multiply annotations; aggregation joins the original
+  aggregation with its annotated, aggregation-stripped duplicate,
+* ``UNION ALL`` concatenates derivations (``+``), ``INTERSECT`` multiplies
+  the annotations of matching tuples (``·``), ``EXCEPT`` annotates
+  surviving tuples with the *monus* ``P_left ⊖ P_right`` (the
+  natural-order difference on ``N[X]``, following Geerts & Poggi's
+  m-semirings and Senellart et al.'s ``Diff`` rewrite); nested difference
+  is rejected because monus does not compose through further sums and
+  products,
+* duplicate elimination (DISTINCT / set-semantics set operations) sums the
+  annotations of collapsed duplicates.
 
-1. **Derivation layer** (:meth:`PolynomialRewriter.rewrite_node`): every
-   query node is rewritten to emit one row per *derivation*, annotated
-   with the product of its inputs' annotations:
+At the marked root one final group-by over the visible columns sums the
+derivation polynomials, producing the K-relation view of the result --
+each distinct original tuple once, annotated with its complete polynomial.
 
-   * base relations mint one tuple variable per row (R1-style, identity
-     columns chosen from the catalog by :class:`TupleVariableMinter`),
-   * joins/products multiply annotations,
-   * aggregation uses the paper's two-level rewrite: the original
-     aggregation joined with an annotated, aggregation-stripped duplicate
-     on the grouping expressions,
-   * ``UNION ALL`` concatenates derivations (``+``), ``INTERSECT``
-     multiplies the annotations of matching tuples (``·``), ``EXCEPT``
-     annotates surviving tuples with the *monus* ``P_left ⊖ P_right``
-     (the natural-order difference on ``N[X]``, following Geerts &
-     Poggi's m-semirings and Senellart et al.'s ``Diff`` rewrite);
-     nested difference is rejected because monus does not compose
-     through further sums and products,
-   * duplicate elimination (DISTINCT / set-semantics set operations) sums
-     the annotations of collapsed duplicates.
-
-2. **Collapse layer** (:meth:`PolynomialRewriter.rewrite_root`): one
-   final group-by over the visible columns sums the derivation
-   polynomials, producing the K-relation view of the result -- each
-   distinct original tuple once, annotated with its complete polynomial.
-
-Uncorrelated and correlated sublinks are rejected (their semiring
-semantics is not well-defined by the positive-algebra rules above);
-witness-list provenance remains available for those queries.
+Sublinks are rejected (their semiring semantics is not well-defined by the
+positive-algebra rules above); witness lists remain available for those
+queries.
 """
 
 from __future__ import annotations
-
-import copy
-from typing import Optional
 
 from repro.datatypes import SQLType
 from repro.errors import RewriteError
 from repro.analyzer import expressions as ex
 from repro.analyzer.query_tree import (
-    FromExpr,
-    JoinTreeExpr,
     Query,
     RangeTableEntry,
-    RangeTableRef,
-    RTEKind,
-    SetOpRangeRef,
-    SetOpTreeNode,
+    SetOpNode,
     SortClause,
     TargetEntry,
     binary_setop_query,
-    subquery_rte,
+    make_var_for_rte_column,
+    setop_tree_contains_except,
 )
-from repro.core.registry import RewriteStrategy, register_rewrite_strategy
+from repro.core.registry import register_rewrite_strategy
+from repro.core.rewriter import (
+    AnnotationScheme,
+    PList,
+    ProvenanceRewriter,
+    join_on_equality,
+    subtree_query,
+)
 from repro.semiring.minting import TupleVariableMinter
 
 #: Name of the annotation column every polynomial-rewritten query exposes.
 ANNOTATION_COLUMN = "prov_polynomial"
 
 POLY = SQLType.POLYNOMIAL
-BOOL = SQLType.BOOLEAN
 
 
-class PolynomialRewriter:
-    """One rewrite scope for the polynomial contribution semantics."""
+@register_rewrite_strategy
+class PolynomialScheme(AnnotationScheme):
+    name = "polynomial"
+    description = "N[X] provenance polynomials over abstract semirings"
 
-    def __init__(self) -> None:
-        self.minter = TupleVariableMinter()
+    def __init__(self, rewriter: ProvenanceRewriter) -> None:
+        super().__init__(rewriter)
         self._alias_counter = 0
 
-    def _alias(self, prefix: str) -> str:
+    def alias(self, prefix: str) -> str:
         alias = f"{prefix}_{self._alias_counter}"
         self._alias_counter += 1
         return alias
 
-    # ------------------------------------------------------------------
-    # Entry point: marked root node
-    # ------------------------------------------------------------------
+    def check_sublink(self, sublink: ex.SubLink) -> None:
+        raise RewriteError(
+            "sublinks are not supported by the polynomial "
+            "rewrite; use the default witness-list semantics"
+        )
 
-    def rewrite_root(self, query: Query) -> Query:
-        """Rewrite a marked node into its annotated K-relation form."""
-        into = query.into
-        query.into = None
-        promoted = self._promote_junk_sort_targets(query)
-        sort_spec = self._visible_sort_spec(query)
+    def base(self, relation: str, query: Query, rtindex: int) -> PList:
+        identity = [
+            make_var_for_rte_column(query, rtindex, attno)
+            for attno in TupleVariableMinter.identity_attnos(query.range_table[rtindex])
+        ]
+        args = (ex.Const(relation, SQLType.TEXT), *identity)
+        return [_annotation(ex.FuncExpr("perm_poly_token", args, POLY))]
+
+    def reuse(self, rte: RangeTableEntry, plist: PList) -> PList:
+        if len(plist) != 1 or plist[0].expr.type is not POLY:
+            raise RewriteError(
+                f"from-item {rte.alias!r} exposes witness-list provenance "
+                "attributes; the polynomial rewrite can only reuse a single "
+                "polynomial annotation column"
+            )
+        return plist
+
+    def combine(self, annotations: list[PList]) -> PList:
+        factors = [entry.expr for plist in annotations for entry in plist]
+        if not factors:
+            return [_annotation(ex.FuncExpr("perm_poly_one", (), POLY))]
+        if len(factors) == 1:
+            return [_annotation(factors[0])]
+        return [_annotation(ex.FuncExpr("perm_poly_mul", tuple(factors), POLY))]
+
+    def deduplicate(self, query: Query, plist: PList) -> tuple[Query, PList]:
+        if not query.distinct:
+            return query, plist
+        # DISTINCT is duplicate elimination: collapse the derivations of
+        # each duplicate group, summing their polynomials.  ORDER/LIMIT of
+        # the original node apply after the elimination, so they move up.
+        query.distinct = False
+        sort_spec = _visible_sort_spec(query)
+        query.sort_clause = []
+        delta, plist = self._collapse(query, len(query.visible_targets) - 1)
+        delta.sort_clause = sort_spec
+        delta.limit_count, delta.limit_offset = query.limit_count, query.limit_offset
+        query.limit_count = query.limit_offset = None
+        return delta, plist
+
+    # -- the marked root: collapse derivations into the K-relation ------------
+
+    def rewrite_root(self, query: Query) -> tuple[Query, PList]:
+        promoted = _promote_junk_sort_targets(query)
+        sort_spec = _visible_sort_spec(query)
         original_width = len(query.visible_targets)
-        annotation_name = self._unique_annotation_name(query)
+        # The annotation column dodges collisions with visible result
+        # columns so ``QueryResult.annotations()`` can address it by name.
+        taken = {target.name.lower() for target in query.visible_targets}
+        annotation_name, suffix = ANNOTATION_COLUMN, 0
+        while annotation_name in taken:
+            suffix += 1
+            annotation_name = f"{ANNOTATION_COLUMN}_{suffix}"
         if (
             query.limit_count is None
             and query.limit_offset is None
@@ -103,407 +140,76 @@ class PolynomialRewriter:
             # Without LIMIT the inner ordering is unobservable after the
             # collapse; drop it (the top node re-sorts).
             query.sort_clause = []
-        derivations = self.rewrite_node(query)
-        top = self._collapse_derivations(
-            derivations, original_width, output_name=annotation_name
-        )
-        for position, descending, nulls_first in sort_spec:
-            top.sort_clause.append(
-                SortClause(
-                    tlist_index=position,
-                    descending=descending,
-                    nulls_first=nulls_first,
-                )
-            )
+        derivations, _ = self.rewriter.rewrite_node(query)
+        top, plist = self._collapse(derivations, original_width, annotation_name)
+        top.sort_clause = sort_spec
         # Promoted ordering columns stay grouped (they refine the collapse)
         # but are hidden from the visible result, like any resjunk entry.
         for position in promoted:
             top.target_list[position].resjunk = True
-        top.into = into
         top.annotation_column = annotation_name
-        return top
+        return top, plist
 
-    @staticmethod
-    def _promote_junk_sort_targets(query: Query) -> list[int]:
-        """Make resjunk ORDER BY targets visible for the rewrite.
+    def _collapse(
+        self, derivations: Query, width: int, output_name: str = ANNOTATION_COLUMN
+    ) -> tuple[Query, PList]:
+        """Group derivation rows by the ``width`` visible columns, summing
+        the polynomials: the K-relation view of the node's result."""
+        top = self._tuple_join(derivations, "perm_poly", [], width)
+        top.group_clause = [target.expr for target in top.target_list]
+        top.has_aggs = True
+        derivation = make_var_for_rte_column(top, 0, width)
+        total = ex.Aggref(aggname="perm_poly_sum", arg=derivation, type=POLY)
+        return _annotated(top, total, output_name)
 
-        The witness rewrite carries junk sort entries through untouched;
-        the polynomial rewrite reuses that device by promoting each junk
-        target to a named visible column so it survives the derivation
-        layer and the collapse (which groups by it — ordering attributes
-        refine the K-relation's tuple identity).  :meth:`rewrite_root`
-        re-marks the promoted columns as resjunk on the top node, so the
-        visible result schema is unchanged.
+    # -- set operations -------------------------------------------------------
 
-        Returns the visible output positions of the promoted targets.
-        """
-        promoted: list[int] = []
-        for clause in query.sort_clause:
-            target = query.target_list[clause.tlist_index]
-            if not target.resjunk:
-                continue
-            target.resjunk = False
-            position = sum(
-                1
-                for t in query.target_list[: clause.tlist_index]
-                if not t.resjunk
-            )
-            target.name = f"perm_ord_{position}"
-            promoted.append(position)
-        return promoted
-
-    @staticmethod
-    def _unique_annotation_name(query: Query) -> str:
-        """The output name of the annotation column, dodging collisions
-        with visible result columns so ``QueryResult.annotations()`` can
-        address it by name."""
-        taken = {t.name.lower() for t in query.visible_targets}
-        name = ANNOTATION_COLUMN
-        suffix = 0
-        while name in taken:
-            suffix += 1
-            name = f"{ANNOTATION_COLUMN}_{suffix}"
-        return name
-
-    def _visible_sort_spec(
-        self, query: Query
-    ) -> list[tuple[int, bool, Optional[bool]]]:
-        """Capture ORDER BY as visible output positions (for the top node)."""
-        spec: list[tuple[int, bool, Optional[bool]]] = []
-        for clause in query.sort_clause:
-            target = query.target_list[clause.tlist_index]
-            if target.resjunk:
-                raise RewriteError(
-                    "ORDER BY expressions not in the select list are not "
-                    "supported with PROVENANCE (polynomial)"
-                )
-            position = sum(
-                1
-                for t in query.target_list[: clause.tlist_index]
-                if not t.resjunk
-            )
-            spec.append((position, clause.descending, clause.nulls_first))
-        return spec
-
-    # ------------------------------------------------------------------
-    # Derivation layer
-    # ------------------------------------------------------------------
-
-    def rewrite_node(self, query: Query) -> Query:
-        """Rewrite one node to emit (visible columns..., polynomial) rows,
-        one row per derivation."""
-        self._reject_sublinks(query)
-        query.provenance = False
-        query.provenance_type = None
-        node_class = query.node_class().value
-        if node_class == "setop":
-            return self._rewrite_setop_node(query)
-        if node_class == "aspj":
-            return self._rewrite_aspj_node(query)
-        return self._rewrite_spj_node(query)
-
-    # -- SPJ ------------------------------------------------------------
-
-    def _rewrite_spj_node(self, query: Query) -> Query:
-        factors = [
-            self._annotation_factor(rtindex, rte)
-            for rtindex, rte in enumerate(query.range_table)
-        ]
-        distinct = query.distinct
-        query.distinct = False
-        query.target_list.append(
-            TargetEntry(expr=self._product(factors), name=ANNOTATION_COLUMN)
-        )
-        if not distinct:
-            return query
-        # DISTINCT is duplicate elimination: collapse the derivations of
-        # each duplicate group, summing their polynomials.  ORDER/LIMIT of
-        # the original node apply after the elimination, so they move up.
-        width = len(query.visible_targets) - 1
-        sort_spec = self._visible_sort_spec(query)
-        limit_count, query.limit_count = query.limit_count, None
-        limit_offset, query.limit_offset = query.limit_offset, None
-        query.sort_clause = []
-        delta = self._collapse_derivations(query, width)
-        for position, descending, nulls_first in sort_spec:
-            delta.sort_clause.append(
-                SortClause(
-                    tlist_index=position,
-                    descending=descending,
-                    nulls_first=nulls_first,
-                )
-            )
-        delta.limit_count = limit_count
-        delta.limit_offset = limit_offset
-        return delta
-
-    def _annotation_factor(self, rtindex: int, rte: RangeTableEntry) -> ex.Expr:
-        """The annotation contributed by one range table entry.
-
-        Cases (in priority order, mirroring the witness rewriter):
-
-        1. ``PROVENANCE (attr)`` annotation carrying a polynomial column
-           -- already-computed provenance (incremental computation).
-        2. base relation / ``BASERELATION`` -- mint one tuple variable
-           from the entry's identity columns.
-        3. subquery -- rewrite recursively; its annotation column becomes
-           this entry's factor.
-        """
-        if rte.provenance_attrs is not None:
-            if len(rte.provenance_attrs) == 1:
-                attno = self._find_column(rte, rte.provenance_attrs[0])
-                if rte.column_types[attno] is POLY:
-                    return self._var(rtindex, attno, rte)
-            raise RewriteError(
-                f"from-item {rte.alias!r} exposes witness-list provenance "
-                "attributes; the polynomial rewrite can only reuse a single "
-                "polynomial annotation column"
-            )
-        if rte.base_relation or rte.kind is RTEKind.RELATION:
-            relation_name = (
-                rte.relation_name
-                if rte.kind is RTEKind.RELATION and not rte.base_relation
-                else rte.alias
-            )
-            attnos = self.minter.identity_attnos(rte)
-            args: tuple[ex.Expr, ...] = (
-                ex.Const(relation_name or rte.alias, SQLType.TEXT),
-            ) + tuple(self._var(rtindex, attno, rte) for attno in attnos)
-            return ex.FuncExpr("perm_poly_token", args, POLY)
-        old_width = rte.width()
-        rewritten = self.rewrite_node(rte.subquery)
-        rte.subquery = rewritten
-        rte.column_names = list(rte.column_names) + [ANNOTATION_COLUMN]
-        rte.column_types = list(rte.column_types) + [POLY]
-        return ex.Var(
-            varno=rtindex, varattno=old_width, type=POLY, name=ANNOTATION_COLUMN
-        )
-
-    @staticmethod
-    def _find_column(rte: RangeTableEntry, name: str) -> int:
-        low = name.lower()
-        for attno, column in enumerate(rte.column_names):
-            if column.lower() == low:
-                return attno
-        raise RewriteError(
-            f"PROVENANCE attribute {name!r} not found in from-item {rte.alias!r}"
-        )
-
-    @staticmethod
-    def _var(rtindex: int, attno: int, rte: RangeTableEntry) -> ex.Var:
-        return ex.Var(
-            varno=rtindex,
-            varattno=attno,
-            type=rte.column_types[attno],
-            name=rte.column_names[attno],
-        )
-
-    @staticmethod
-    def _product(factors: list[ex.Expr]) -> ex.Expr:
-        if not factors:
-            return ex.FuncExpr("perm_poly_one", (), POLY)
-        if len(factors) == 1:
-            return factors[0]
-        return ex.FuncExpr("perm_poly_mul", tuple(factors), POLY)
-
-    # -- ASPJ (two-level rewrite, mirroring paper Fig. 6.2) --------------
-
-    def _rewrite_aspj_node(self, query: Query) -> Query:
-        group_count = len(query.group_clause)
-
-        # q_agg: the original aggregation kept intact (semantics including
-        # HAVING/ORDER/LIMIT preserved), extended with its grouping
-        # expressions for the top-level join.
-        q_agg = query
-        original_width = len(q_agg.visible_targets)
-        agg_group_slots: list[int] = []
-        for i, group_expr in enumerate(query.group_clause):
-            q_agg.target_list.append(
-                TargetEntry(expr=group_expr, name=f"perm_g{i}")
-            )
-            agg_group_slots.append(original_width + i)
-
-        # d: the aggregation-stripped duplicate, annotated per derivation.
-        duplicate = Query(
-            target_list=[
-                TargetEntry(expr=g, name=f"perm_g{i}")
-                for i, g in enumerate(query.group_clause)
-            ],
-            range_table=[copy.deepcopy(rte) for rte in query.range_table],
-            jointree=copy.deepcopy(query.jointree),
-        )
-        d_ann = self.rewrite_node(duplicate)
-
-        # Top: join q_agg with d+ on null-safe equality of the grouping
-        # expressions; one output row per (group, derivation).
-        top = Query()
-        agg_rte = subquery_rte(q_agg, alias=self._alias("perm_agg"))
-        agg_index = top.add_rte(agg_rte)
-        prov_rte = subquery_rte(d_ann, alias=self._alias("perm_prov"))
-        prov_index = top.add_rte(prov_rte)
-        conjuncts: list[ex.Expr] = [
-            ex.OpExpr(
-                "<=>",
-                (
-                    ex.Var(
-                        varno=agg_index,
-                        varattno=agg_group_slots[i],
-                        type=query.group_clause[i].type,
-                        name=f"perm_g{i}",
-                    ),
-                    ex.Var(
-                        varno=prov_index,
-                        varattno=i,
-                        type=query.group_clause[i].type,
-                        name=f"perm_g{i}",
-                    ),
-                ),
-                BOOL,
-            )
-            for i in range(group_count)
-        ]
-        top.jointree = FromExpr(
-            items=[
-                JoinTreeExpr(
-                    join_type="inner",
-                    left=RangeTableRef(agg_index),
-                    right=RangeTableRef(prov_index),
-                    quals=_conjoin(conjuncts),
-                )
-            ]
-        )
-        for attno in range(original_width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=ex.Var(
-                        varno=agg_index,
-                        varattno=attno,
-                        type=agg_rte.column_types[attno],
-                        name=agg_rte.column_names[attno],
-                    ),
-                    name=agg_rte.column_names[attno],
-                )
-            )
-        top.target_list.append(
-            TargetEntry(
-                expr=ex.Var(
-                    varno=prov_index,
-                    varattno=group_count,
-                    type=POLY,
-                    name=ANNOTATION_COLUMN,
-                ),
-                name=ANNOTATION_COLUMN,
-            )
-        )
-        return top
-
-    # -- Set operations ---------------------------------------------------
-
-    def _rewrite_setop_node(self, query: Query) -> Query:
-        tree = query.set_operations
-        assert tree is not None
-        if isinstance(tree, SetOpRangeRef):  # degenerate single leaf
-            return self.rewrite_node(query.range_table[tree.rtindex].subquery)
-        has_tail = (
-            bool(query.sort_clause)
-            or query.limit_count is not None
-            or query.limit_offset is not None
-        )
-        if not has_tail:
-            left_query = self._subtree_query(query, tree.left)
-            right_query = self._subtree_query(query, tree.right)
-            return self._setop_derivations(tree.op, tree.all, left_query, right_query)
+    def rewrite_setop(self, query: Query, tree: SetOpNode) -> tuple[Query, PList]:
+        left = subtree_query(query, tree.left)
+        right = subtree_query(query, tree.right)
+        if (
+            not query.sort_clause
+            and query.limit_count is None
+            and query.limit_offset is None
+        ):
+            return self._derivations(tree, left, right)
         # ORDER BY / LIMIT on the set operation select which tuples
         # survive; keep the original node and join the annotated
         # derivations against its result on tuple equality.
-        left_query = self._subtree_query(query, tree.left).deep_copy()
-        right_query = self._subtree_query(query, tree.right).deep_copy()
-        annotated = self._setop_derivations(tree.op, tree.all, left_query, right_query)
-        q_set = query
-        width = len(q_set.visible_targets)
-        return self._join_on_tuple_equality(
-            keep=q_set,
-            keep_alias=self._alias("perm_set"),
-            annotated=annotated,
-            width=width,
-        )
+        annotated, _ = self._derivations(tree, left.deep_copy(), right.deep_copy())
+        width = len(query.visible_targets)
+        top = self._tuple_join(query, "perm_set", [(annotated, "perm_poly", "inner")], width)
+        return _annotated(top, make_var_for_rte_column(top, 1, width))
 
-    def _setop_derivations(
-        self, op: str, all_flag: bool, left_query: Query, right_query: Query
-    ) -> Query:
-        if op == "union":
+    def _derivations(self, tree: SetOpNode, left: Query, right: Query) -> tuple[Query, PList]:
+        if tree.op == "except":
+            return self._difference(tree, left, right)
+        left_ann, _ = self.rewriter.rewrite_node(left)
+        right_ann, _ = self.rewriter.rewrite_node(right)
+        width = len(left_ann.visible_targets) - 1
+        if tree.op == "union":
             # + : derivations of both inputs, concatenated.
-            left_ann = self.rewrite_node(left_query)
-            right_ann = self.rewrite_node(right_query)
             combined = binary_setop_query("union", True, left_ann, right_ann)
-            width = len(left_ann.visible_targets) - 1
-            if all_flag:
-                return combined
-            return self._collapse_derivations(combined, width)
-        if op == "intersect":
+        else:
             # * : pair the derivations of matching tuples, multiplying.
-            left_ann = self.rewrite_node(left_query)
-            right_ann = self.rewrite_node(right_query)
-            width = len(left_ann.visible_targets) - 1
-            top = Query()
-            left_rte = subquery_rte(left_ann, alias=self._alias("perm_poly_l"))
-            left_index = top.add_rte(left_rte)
-            right_rte = subquery_rte(right_ann, alias=self._alias("perm_poly_r"))
-            right_index = top.add_rte(right_rte)
-            conjuncts: list[ex.Expr] = [
-                ex.OpExpr(
-                    "<=>",
-                    (
-                        self._var(left_index, attno, left_rte),
-                        self._var(right_index, attno, right_rte),
-                    ),
-                    BOOL,
-                )
-                for attno in range(width)
-            ]
-            top.jointree = FromExpr(
-                items=[
-                    JoinTreeExpr(
-                        join_type="inner",
-                        left=RangeTableRef(left_index),
-                        right=RangeTableRef(right_index),
-                        quals=_conjoin(conjuncts),
-                    )
-                ]
-            )
-            for attno in range(width):
-                top.target_list.append(
-                    TargetEntry(
-                        expr=self._var(left_index, attno, left_rte),
-                        name=left_rte.column_names[attno],
-                    )
-                )
-            top.target_list.append(
-                TargetEntry(
-                    expr=ex.FuncExpr(
-                        "perm_poly_mul",
-                        (
-                            self._var(left_index, width, left_rte),
-                            self._var(right_index, width, right_rte),
-                        ),
-                        POLY,
-                    ),
-                    name=ANNOTATION_COLUMN,
-                )
-            )
-            if all_flag:
-                return top
-            return self._collapse_derivations(top, width)
-        # EXCEPT: the right input filters membership; surviving tuples are
-        # annotated with the monus P_left(t) ⊖ P_right(t) — the
-        # m-semiring difference of the two sides' collapsed polynomials
-        # (Senellart et al.'s Diff/Term.sub rewrite, specialized to the
-        # natural-order monus on N[X]).  Monus does not compose: feeding a
-        # truncated difference through further ⊖ is not associative
-        # ((a⊖b)⊖c vs a⊖(b+c) only agree under the natural order), so a
-        # nested EXCEPT below either operand is rejected loudly rather
-        # than silently mis-annotated.
-        for operand, side in ((left_query, "left"), (right_query, "right")):
+            inputs = [(right_ann, "perm_poly_r", "inner")]
+            combined = self._tuple_join(left_ann, "perm_poly_l", inputs, width)
+            _annotated(combined, _apply("perm_poly_mul", combined, (0, 1), width))
+        if tree.all:
+            return combined, combined.target_list[-1:]
+        return self._collapse(combined, width)
+
+    def _difference(self, tree: SetOpNode, left: Query, right: Query) -> tuple[Query, PList]:
+        """EXCEPT: the right input filters membership; surviving tuples are
+        annotated with the monus P_left(t) ⊖ P_right(t) -- the m-semiring
+        difference of the two sides' collapsed polynomials (Senellart et
+        al.'s Diff/Term.sub rewrite, specialized to the natural-order monus
+        on N[X])."""
+        # Monus does not compose: feeding a truncated difference through
+        # further ⊖ is not associative ((a⊖b)⊖c vs a⊖(b+c) only agree
+        # under the natural order), so a nested EXCEPT below either operand
+        # is rejected loudly rather than silently mis-annotated.
+        for operand, side in ((left, "left"), (right, "right")):
             if _contains_difference(operand):
                 raise RewriteError(
                     "nested EXCEPT is not supported by the polynomial "
@@ -511,188 +217,93 @@ class PolynomialRewriter:
                     "another difference, and the N[X] monus does not "
                     "compose); use the default witness-list semantics"
                 )
-        q_set = binary_setop_query(
-            op, all_flag, left_query.deep_copy(), right_query.deep_copy()
-        )
-        left_ann = self.rewrite_node(left_query)
-        right_ann = self.rewrite_node(right_query)
+        q_set = binary_setop_query(tree.op, tree.all, left.deep_copy(), right.deep_copy())
+        left_ann, _ = self.rewriter.rewrite_node(left)
+        right_ann, _ = self.rewriter.rewrite_node(right)
         width = len(left_ann.visible_targets) - 1
-        left_poly = self._collapse_derivations(left_ann, width)
-        right_poly = self._collapse_derivations(right_ann, width)
-
-        # q_set  ⋈ P_left  ⟕ P_right  on null-safe tuple equality; every
+        left_poly, _ = self._collapse(left_ann, width)
+        right_poly, _ = self._collapse(right_ann, width)
+        # q_set ⋈ P_left ⟕ P_right on null-safe tuple equality; every
         # survivor exists in the left input (inner join), but set-EXCEPT
         # survivors by definition have no right-side row (left join,
         # NULL ⊖-operand subtracts nothing).
-        top = Query()
-        keep_rte = subquery_rte(q_set, alias=self._alias("perm_set"))
-        keep_index = top.add_rte(keep_rte)
-        left_rte = subquery_rte(left_poly, alias=self._alias("perm_poly_l"))
-        left_index = top.add_rte(left_rte)
-        right_rte = subquery_rte(right_poly, alias=self._alias("perm_poly_r"))
-        right_index = top.add_rte(right_rte)
+        inputs = [(left_poly, "perm_poly_l", "inner"), (right_poly, "perm_poly_r", "left")]
+        top = self._tuple_join(q_set, "perm_set", inputs, width)
+        return _annotated(top, _apply("perm_poly_monus", top, (1, 2), width))
 
-        def equality(other_index: int, other_rte: RangeTableEntry):
-            return _conjoin(
-                [
-                    ex.OpExpr(
-                        "<=>",
-                        (
-                            self._var(keep_index, attno, keep_rte),
-                            self._var(other_index, attno, other_rte),
-                        ),
-                        BOOL,
-                    )
-                    for attno in range(width)
-                ]
-            )
-
-        inner = JoinTreeExpr(
-            join_type="inner",
-            left=RangeTableRef(keep_index),
-            right=RangeTableRef(left_index),
-            quals=equality(left_index, left_rte),
-        )
-        top.jointree = FromExpr(
-            items=[
-                JoinTreeExpr(
-                    join_type="left",
-                    left=inner,
-                    right=RangeTableRef(right_index),
-                    quals=equality(right_index, right_rte),
-                )
-            ]
-        )
-        for attno in range(width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=self._var(keep_index, attno, keep_rte),
-                    name=keep_rte.column_names[attno],
-                )
-            )
-        top.target_list.append(
-            TargetEntry(
-                expr=ex.FuncExpr(
-                    "perm_poly_monus",
-                    (
-                        self._var(left_index, width, left_rte),
-                        self._var(right_index, width, right_rte),
-                    ),
-                    POLY,
-                ),
-                name=ANNOTATION_COLUMN,
-            )
-        )
-        return top
-
-    def _join_on_tuple_equality(
-        self, keep: Query, keep_alias: str, annotated: Query, width: int
+    def _tuple_join(
+        self, keep: Query, keep_prefix: str, inputs: list[tuple[Query, str, str]], width: int
     ) -> Query:
-        """Join ``keep`` (original semantics) with ``annotated`` derivation
-        rows on null-safe equality of the ``width`` visible columns."""
-        top = Query()
-        keep_rte = subquery_rte(keep, alias=keep_alias)
-        keep_index = top.add_rte(keep_rte)
-        ann_rte = subquery_rte(annotated, alias=self._alias("perm_poly"))
-        ann_index = top.add_rte(ann_rte)
-        conjuncts: list[ex.Expr] = [
-            ex.OpExpr(
-                "<=>",
-                (
-                    self._var(keep_index, attno, keep_rte),
-                    self._var(ann_index, attno, ann_rte),
-                ),
-                BOOL,
-            )
-            for attno in range(width)
-        ]
-        top.jointree = FromExpr(
-            items=[
-                JoinTreeExpr(
-                    join_type="inner",
-                    left=RangeTableRef(keep_index),
-                    right=RangeTableRef(ann_index),
-                    quals=_conjoin(conjuncts),
-                )
-            ]
-        )
-        for attno in range(width):
-            top.target_list.append(
-                TargetEntry(
-                    expr=self._var(keep_index, attno, keep_rte),
-                    name=keep_rte.column_names[attno],
-                )
-            )
-        top.target_list.append(
-            TargetEntry(
-                expr=ex.Var(
-                    varno=ann_index,
-                    varattno=width,
-                    type=POLY,
-                    name=ANNOTATION_COLUMN,
-                ),
-                name=ANNOTATION_COLUMN,
-            )
-        )
-        return top
+        """``keep`` joined with ``inputs`` -- (query, alias prefix, join
+        type) -- on null-safe equality of the ``width`` visible columns."""
+        keep_alias = self.alias(keep_prefix)
+        aliased = [(query, self.alias(prefix), kind) for query, prefix, kind in inputs]
+        return join_on_equality(keep, keep_alias, aliased, width)
 
-    def _subtree_query(self, query: Query, node: SetOpTreeNode) -> Query:
-        """Materialize a set-operation subtree as its own query node."""
-        if isinstance(node, SetOpRangeRef):
-            return query.range_table[node.rtindex].subquery
-        left = self._subtree_query(query, node.left)
-        right = self._subtree_query(query, node.right)
-        return binary_setop_query(node.op, node.all, left, right)
 
-    # -- Collapse layer (delta + polynomial sum) --------------------------
+def _apply(function: str, query: Query, rtindexes: tuple[int, int], attno: int) -> ex.Expr:
+    """``function`` over column ``attno`` (the annotation) of two range
+    table entries of ``query``."""
+    args = tuple(make_var_for_rte_column(query, rtindex, attno) for rtindex in rtindexes)
+    return ex.FuncExpr(function, args, POLY)
 
-    def _collapse_derivations(
-        self, derivations: Query, width: int, output_name: str = ANNOTATION_COLUMN
-    ) -> Query:
-        """Group derivation rows by the ``width`` visible columns, summing
-        the polynomials: the K-relation view of the node's result."""
-        top = Query()
-        rte = subquery_rte(derivations, alias=self._alias("perm_poly"))
-        rtindex = top.add_rte(rte)
-        top.jointree = FromExpr(items=[RangeTableRef(rtindex)])
-        for attno in range(width):
-            var = self._var(rtindex, attno, rte)
-            top.target_list.append(TargetEntry(expr=var, name=rte.column_names[attno]))
-            top.group_clause.append(var)
-        top.target_list.append(
-            TargetEntry(
-                expr=ex.Aggref(
-                    aggname="perm_poly_sum",
-                    arg=ex.Var(
-                        varno=rtindex,
-                        varattno=width,
-                        type=POLY,
-                        name=ANNOTATION_COLUMN,
-                    ),
-                    type=POLY,
-                ),
-                name=output_name,
+
+def _annotated(
+    query: Query, annotation: ex.Expr, name: str = ANNOTATION_COLUMN
+) -> tuple[Query, PList]:
+    """``query`` with ``annotation`` appended as its annotation column."""
+    query.target_list.append(TargetEntry(expr=annotation, name=name))
+    return query, query.target_list[-1:]
+
+
+def _annotation(expr: ex.Expr) -> TargetEntry:
+    return TargetEntry(expr=expr, name=ANNOTATION_COLUMN)
+
+
+def _promote_junk_sort_targets(query: Query) -> list[int]:
+    """Make resjunk ORDER BY targets visible for the rewrite.
+
+    Each junk target is promoted to a named visible column so it survives
+    the derivation rows and the collapse (which groups by it -- ordering
+    attributes refine the K-relation's tuple identity).  The marked root
+    re-marks the promoted columns as resjunk on its top node, so the
+    visible result schema is unchanged.
+
+    Returns the visible output positions of the promoted targets.
+    """
+    promoted: list[int] = []
+    for clause in query.sort_clause:
+        target = query.target_list[clause.tlist_index]
+        if target.resjunk:
+            target.resjunk = False
+            position = query.visible_position(clause.tlist_index)
+            target.name = f"perm_ord_{position}"
+            promoted.append(position)
+    return promoted
+
+
+def _visible_sort_spec(query: Query) -> list[SortClause]:
+    """ORDER BY re-addressed to visible output positions (for a node that
+    wraps ``query`` and exposes its visible columns first)."""
+    spec: list[SortClause] = []
+    for clause in query.sort_clause:
+        if query.target_list[clause.tlist_index].resjunk:
+            raise RewriteError(
+                "ORDER BY expressions not in the select list are not "
+                "supported with PROVENANCE (polynomial)"
+            )
+        spec.append(
+            SortClause(
+                tlist_index=query.visible_position(clause.tlist_index),
+                descending=clause.descending,
+                nulls_first=clause.nulls_first,
             )
         )
-        top.has_aggs = True
-        return top
-
-    # -- validation -------------------------------------------------------
-
-    def _reject_sublinks(self, query: Query) -> None:
-        for expr in _node_expressions(query):
-            for node in ex.walk(expr):
-                if isinstance(node, ex.SubLink):
-                    raise RewriteError(
-                        "sublinks are not supported by the polynomial "
-                        "rewrite; use the default witness-list semantics"
-                    )
+    return spec
 
 
 def _contains_difference(query: Query) -> bool:
     """True if any node of ``query``'s tree performs an EXCEPT."""
-    from repro.analyzer.query_tree import setop_tree_contains_except
-
     if query.set_operations is not None and setop_tree_contains_except(
         query.set_operations
     ):
@@ -701,54 +312,3 @@ def _contains_difference(query: Query) -> bool:
         rte.subquery is not None and _contains_difference(rte.subquery)
         for rte in query.range_table
     )
-
-
-def _conjoin(conjuncts: list[ex.Expr]) -> Optional[ex.Expr]:
-    if not conjuncts:
-        return None
-    if len(conjuncts) == 1:
-        return conjuncts[0]
-    return ex.BoolOpExpr("and", tuple(conjuncts))
-
-
-def _node_expressions(query: Query):
-    for target in query.target_list:
-        yield target.expr
-    if query.jointree.quals is not None:
-        yield query.jointree.quals
-    stack = list(query.jointree.items)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, JoinTreeExpr):
-            if node.quals is not None:
-                yield node.quals
-            stack.append(node.left)
-            stack.append(node.right)
-    yield from query.group_clause
-    if query.having is not None:
-        yield query.having
-
-
-# ---------------------------------------------------------------------------
-# Public entry points & strategy registration
-# ---------------------------------------------------------------------------
-
-
-def rewrite_polynomial_root(query: Query) -> Query:
-    """Rewrite a marked query node into its polynomial-annotated form."""
-    return PolynomialRewriter().rewrite_root(query)
-
-
-def _rewrite_polynomial_subquery(query: Query) -> tuple[Query, tuple[str, ...]]:
-    rewritten = PolynomialRewriter().rewrite_root(query)
-    return rewritten, (rewritten.annotation_column or ANNOTATION_COLUMN,)
-
-
-register_rewrite_strategy(
-    RewriteStrategy(
-        name="polynomial",
-        description="N[X] provenance polynomials over abstract semirings",
-        rewrite_root=rewrite_polynomial_root,
-        rewrite_subquery=_rewrite_polynomial_subquery,
-    )
-)

@@ -556,7 +556,7 @@ def _deparse_tail(
                 # columns; the portable rendering is the ordinal position
                 # (the target Vars address an operand subquery whose alias
                 # does not exist in the deparsed text).
-                piece = str(_visible_position(query, clause.tlist_index) + 1)
+                piece = str(query.visible_position(clause.tlist_index) + 1)
             else:
                 target = query.target_list[clause.tlist_index]
                 piece = deparse_expr(target.expr, query, dialect, outers)
@@ -577,16 +577,6 @@ def _deparse_tail(
         f"{pad}{clause}" for clause in dialect.limit_offset_clauses(limit, offset)
     )
     return parts
-
-
-def _visible_position(query: Query, tlist_index: int) -> int:
-    position = 0
-    for i, target in enumerate(query.target_list):
-        if i == tlist_index:
-            return position
-        if not target.resjunk:
-            position += 1
-    raise PermError("sort target index out of range")  # pragma: no cover
 
 
 def _deparse_setop_query(

@@ -1,11 +1,8 @@
-"""Provenance attribute naming scheme (IV-A.1) and pStack unit tests."""
+"""Provenance attribute naming scheme (IV-A.1) unit tests."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.naming import ProvenanceAttribute, ProvenanceNamer
-from repro.core.pstack import PStack, concat_plists
+from repro.core.naming import ProvenanceNamer
 from repro.datatypes import SQLType
 
 
@@ -37,40 +34,3 @@ def test_attributes_for_relation():
     second = namer.attributes_for_relation("items", ["id"], [SQLType.INTEGER])
     assert second[0].name == "prov_items_1_id"
     assert second[0].ref_id == 1
-
-
-def _attr(name: str) -> ProvenanceAttribute:
-    return ProvenanceAttribute(name, "r", 0, name, SQLType.INTEGER)
-
-
-def test_pstack_push_pop():
-    stack = PStack()
-    stack.push([_attr("a")])
-    stack.push([_attr("b")])
-    assert len(stack) == 2
-    assert [a.name for a in stack.pop()] == ["b"]
-    assert [a.name for a in stack.peek()] == ["a"]
-
-
-def test_pstack_pop_many_in_push_order():
-    stack = PStack()
-    stack.push([_attr("a")])
-    stack.push([_attr("b")])
-    stack.push([_attr("c")])
-    popped = stack.pop_many(2)
-    assert [[a.name for a in plist] for plist in popped] == [["b"], ["c"]]
-    assert len(stack) == 1
-
-
-def test_pstack_underflow():
-    stack = PStack()
-    with pytest.raises(IndexError):
-        stack.pop()
-    with pytest.raises(IndexError):
-        stack.pop_many(1)
-    assert stack.pop_many(0) == []
-
-
-def test_concat_plists_is_the_paper_concatenation():
-    combined = concat_plists([[_attr("a")], [_attr("b"), _attr("c")]])
-    assert [a.name for a in combined] == ["a", "b", "c"]
