@@ -137,16 +137,25 @@ def pull_up_node(query: Query) -> bool:
 
     Repeats until no candidate remains, so a chain of nested wrappers
     collapses in a single call once inner levels were processed first.
+    The range table is compacted once, after the last inlining: until
+    then an inlined subquery's own entry stays behind as a dead slot
+    (nothing references it, so no walk of the join tree reaches it), and
+    since compaction keeps the survivors' relative order the final
+    numbering is the one compacting after every step would give —
+    without re-walking and renumbering the whole level per step.
     """
     if query.set_operations is not None:
         return False
-    changed = False
-    while _pull_one(query):
-        changed = True
-    return changed
+    inlined: set[int] = set()
+    while _pull_one(query, inlined):
+        pass
+    if not inlined:
+        return False
+    compact_range_table(query)
+    return True
 
 
-def _pull_one(query: Query) -> bool:
+def _pull_one(query: Query, inlined: set[int]) -> bool:
     fused = {index for pair in query.agg_shares for index in pair[:2]}
     for rtindex, replace, sink, nullable in _leaf_positions(query):
         if rtindex in fused:
@@ -154,7 +163,8 @@ def _pull_one(query: Query) -> bool:
             continue
         rte = query.range_table[rtindex]
         if _pullable(query, rte, sink, nullable):
-            _inline(query, rtindex, replace, sink)
+            _inline(query, rtindex, replace, sink, inlined)
+            inlined.add(rtindex)
             return True
     return False
 
@@ -243,12 +253,20 @@ def _pullable(
     return True
 
 
-def _inline(query: Query, rtindex: int, replace: _Replace, sink: _Sink) -> None:
+def _inline(
+    query: Query,
+    rtindex: int,
+    replace: _Replace,
+    sink: _Sink,
+    inlined: set[int],
+) -> None:
+    """Inline subquery ``rtindex``; ``inlined`` are the dead slots earlier
+    inlinings of this level left in the range table."""
     sub = query.range_table[rtindex].subquery
     assert sub is not None
     offset = len(query.range_table)
 
-    _uniquify_aliases(query, sub)
+    _uniquify_aliases(query, sub, inlined)
 
     # Shift the subquery's own-level Vars *and* its join-tree leaves into
     # the parent's numbering (the Var remap descends into sublinks, whose
@@ -259,7 +277,7 @@ def _inline(query: Query, rtindex: int, replace: _Replace, sink: _Sink) -> None:
     _shift_jointree_refs(sub.jointree.items, offset)
     query.range_table.extend(sub.range_table)
     # The inlined subquery's fusion pairs move with it (shifted into the
-    # parent's numbering; compaction below renumbers them again).
+    # parent's numbering; the final compaction renumbers them again).
     query.agg_shares.extend(
         (a + offset, b + offset, positions)
         for a, b, positions in sub.agg_shares
@@ -312,8 +330,6 @@ def _inline(query: Query, rtindex: int, replace: _Replace, sink: _Sink) -> None:
                 else ex.BoolOpExpr("and", (sink.quals, quals))
             )
 
-    compact_range_table(query)
-
 
 def _shift_jointree_refs(items: list[JoinTreeNode], offset: int) -> None:
     stack: list[JoinTreeNode] = list(items)
@@ -333,8 +349,12 @@ def _fold_inner(items: list[JoinTreeNode]) -> JoinTreeNode:
     return node
 
 
-def _uniquify_aliases(query: Query, sub: Query) -> None:
-    taken = {rte.alias for rte in query.range_table}
+def _uniquify_aliases(query: Query, sub: Query, dead: set[int]) -> None:
+    taken = {
+        rte.alias
+        for index, rte in enumerate(query.range_table)
+        if index not in dead
+    }
     for rte in sub.range_table:
         alias = rte.alias
         if alias in taken:

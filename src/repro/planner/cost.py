@@ -25,6 +25,12 @@ classic System-R recipes:
   (``extract_year``/``month``/``day`` over a dated column use the value
   range — the shape of every TPC-H provenance aggregate).
 
+Join estimation is split in two so that join ordering can afford to
+price thousands of candidate joins: :meth:`CostModel.classify_conjuncts`
+reads each join conjunct once into a :class:`ConjunctFacts` record, and
+:meth:`CostModel.price_join` — the only place a join is estimated or
+scored — is arithmetic over those records.
+
 Everything degrades gracefully without statistics: magic-constant
 defaults keep the estimates ordinal (selective things look smaller),
 so an un-ANALYZEd database still plans correctly, just less sharply.
@@ -40,11 +46,13 @@ aggregation-fusion pairs inherit their shared core's estimate.
 from __future__ import annotations
 
 import datetime
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.analyzer import expressions as ex
 from repro.catalog.catalog import Catalog
-from repro.planner.logical import extract_equi_keys
+from repro.errors import PermError
+from repro.planner.logical import equi_sides
 from repro.planner.stats import ColumnStats
 
 # Defaults when no statistics are available (System-R-style constants).
@@ -93,8 +101,56 @@ def _const_value(expr: ex.Expr) -> Any:
 
     try:
         return ExprCompiler({}).compile(expr)(None, None)
-    except Exception:
+    except (PermError, ArithmeticError, TypeError, ValueError):
+        # The typed ways constant evaluation fails (``1/0``, an unknown
+        # function, mismatched operand types): not a usable constant.
+        # Anything else is a bug in the compiler and must surface.
         return _NO_CONST
+
+
+@dataclass(eq=False, slots=True)
+class ConjunctFacts:
+    """What pricing a join needs to know about one conjunct — everything
+    that does not depend on *which* join is being priced.
+
+    Join ordering prices thousands of candidate splits over the same few
+    immutable conjuncts, so :meth:`CostModel.classify_conjuncts` reads
+    each expression once and :meth:`CostModel.price_join` works from
+    these numbers alone.  Operands are bit positions (one per join
+    operand of the ordering problem); a mask is a set of them.
+
+    * ``mask`` — the operands the conjunct references; 0 when it has no
+      Vars or references something outside the problem (never placeable
+      at a join).
+    * ``key_a`` / ``key_b`` — for a sublink-free ``a = b`` / ``a <=> b``
+      with Vars on both sides, each side's operand mask (both non-zero);
+      the conjunct is a hash key of a join exactly when one side lies in
+      each input.  0/0 otherwise.
+    * ``ndv_a`` / ``ndv_b`` — the column NDV of a key side that is a
+      plain column with statistics; None = "as many as the side has
+      rows".
+    * ``selectivity`` — what the conjunct keeps as a residual filter;
+      None for the rewriter's ``ON TRUE`` marker, which prices nothing.
+    """
+
+    conjunct: ex.Expr
+    mask: int = 0
+    key_a: int = 0
+    key_b: int = 0
+    ndv_a: Optional[float] = None
+    ndv_b: Optional[float] = None
+    selectivity: Optional[float] = None
+
+
+def _operand_mask(variables: list[ex.Var], bit_of: dict[int, int]) -> int:
+    """Operand bitmask of a Var list; 0 when one lies outside ``bit_of``."""
+    mask = 0
+    for var in variables:
+        bit = bit_of.get(var.varno)
+        if bit is None:
+            return 0
+        mask |= 1 << bit
+    return mask
 
 
 class CostModel:
@@ -262,46 +318,137 @@ class CostModel:
 
     # -- join estimation -----------------------------------------------------
 
-    def _key_ndv(self, key: ex.Expr, unit) -> float:
-        """Distinct-value estimate of a join key on one side."""
-        rows = max(getattr(unit.plan, "estimate", 1.0), 1.0)
-        stats = self._stats_for_var(key, unit.scope or {})
+    def classify_conjuncts(
+        self, conjuncts: list[ex.Expr], bit_of: dict[int, int], scope: Scope
+    ) -> list[ConjunctFacts]:
+        """One :class:`ConjunctFacts` per conjunct, in order.
+
+        ``bit_of`` maps range-table indexes to operand bits; ``scope`` is
+        the union of the operands' statistics scopes.  Scope keys are
+        ``(varno, attno)`` and every operand owns its varnos, so looking
+        a column up in the union finds exactly what the operand's own
+        scope would — which is why NDVs and residual selectivities do
+        not depend on the split and can be read here, once.
+        """
+        scope = scope or {}
+        facts: list[ConjunctFacts] = []
+        for conjunct in conjuncts:
+            fact = ConjunctFacts(conjunct)
+            facts.append(fact)
+            if isinstance(conjunct, ex.Const) and conjunct.value is True:
+                continue
+            sides = equi_sides(conjunct)
+            if sides is None:
+                fact.mask = _operand_mask(ex.collect_vars(conjunct), bit_of)
+            else:
+                a, vars_a, b, vars_b = sides
+                key_a = _operand_mask(vars_a, bit_of)
+                key_b = _operand_mask(vars_b, bit_of)
+                if key_a and key_b:
+                    fact.mask = key_a | key_b
+                    fact.key_a, fact.key_b = key_a, key_b
+                    fact.ndv_a = self._column_ndv(a, scope)
+                    fact.ndv_b = self._column_ndv(b, scope)
+            fact.selectivity = self.conjunct_selectivity(conjunct, scope)
+        return facts
+
+    def _column_ndv(self, key: ex.Expr, scope: dict) -> Optional[float]:
+        stats = self._stats_for_var(key, scope)
         if stats is not None and stats.ndv > 0:
-            # Containment: a filtered side cannot carry more distinct
-            # keys than rows.
-            return max(1.0, min(float(stats.ndv), rows))
-        return rows
+            return float(stats.ndv)
+        return None
+
+    @staticmethod
+    def price_join(
+        rows_left: float,
+        rows_right: float,
+        left: int,
+        right: int,
+        facts: list[ConjunctFacts],
+    ) -> tuple[float, float]:
+        """``(inner-join output estimate, ordering score)`` of one join.
+
+        The single estimation kernel: ``left`` / ``right`` are the operand
+        masks of the two inputs, ``facts`` the conjuncts evaluated at this
+        join (each referencing nothing outside ``left | right``).  Plain
+        arithmetic over pre-classified facts — no expression is looked at.
+
+        Estimate: ``|L|·|R| / max(ndv(L keys), ndv(R keys))`` times the
+        residual selectivities.  Composite keys: multiplying per-key
+        selectivities overstates the distinct-combination count; a side
+        cannot carry more distinct key tuples than rows, so each side's NDV
+        product is clamped by its row estimate (and so is each key's NDV: a
+        filtered side cannot carry more distinct keys than rows).
+
+        Score: primarily the estimate; the work term adds the evaluation
+        cost (hash: linear in the inputs, conditional nested loop: the full
+        cross of pairs) so a cheap-output but quadratically-evaluated
+        candidate does not always win.
+        """
+        la = rows_left if rows_left > 1.0 else 1.0
+        lb = rows_right if rows_right > 1.0 else 1.0
+        ndv_l = ndv_r = 1.0
+        keyed = False
+        residual: Optional[list[float]] = None
+        for fact in facts:
+            key_a, key_b = fact.key_a, fact.key_b
+            if key_a and not (key_a & right or key_b & left):
+                ndv_left, ndv_right = fact.ndv_a, fact.ndv_b
+            elif key_a and not (key_a & left or key_b & right):
+                ndv_left, ndv_right = fact.ndv_b, fact.ndv_a
+            else:
+                # Not a key of this join: no equality at all, or one of
+                # its sides spans both inputs.
+                if fact.selectivity is not None:
+                    if residual is None:
+                        residual = []
+                    residual.append(fact.selectivity)
+                continue
+            keyed = True
+            if ndv_left is None or ndv_left > la:
+                ndv_left = la
+            if ndv_right is None or ndv_right > lb:
+                ndv_right = lb
+            ndv_l *= ndv_left if ndv_left > 1.0 else 1.0
+            ndv_r *= ndv_right if ndv_right > 1.0 else 1.0
+        sel = 1.0
+        if keyed:
+            sel = 1.0 / max(min(ndv_l, la), min(ndv_r, lb), 1.0)
+        if residual is not None:
+            for fraction in residual:
+                sel *= fraction
+        estimate = max(la * lb * sel, 1.0)
+        if keyed:
+            work = la + lb
+        elif facts:
+            work = la * lb
+        else:
+            work = estimate  # cross product: output built directly
+        return estimate, estimate + WORK_WEIGHT * work
+
+    def _price_units(
+        self, left, right, conjuncts: list[ex.Expr]
+    ) -> tuple[float, float]:
+        """:meth:`price_join` for two placed units: the left is operand 0,
+        the right operand 1."""
+        bit_of = dict.fromkeys(left.rtindexes, 0)
+        bit_of.update(dict.fromkeys(right.rtindexes, 1))
+        scope = {**(left.scope or {}), **(right.scope or {})}
+        return self.price_join(
+            getattr(left.plan, "estimate", 1.0),
+            getattr(right.plan, "estimate", 1.0),
+            1,
+            2,
+            self.classify_conjuncts(conjuncts, bit_of, scope),
+        )
 
     def join_estimate(
         self, left, right, conjuncts: list[ex.Expr], join_type: str
     ) -> float:
         """Estimated output rows of joining two placed units."""
+        inner, _score = self._price_units(left, right, conjuncts)
         la = max(getattr(left.plan, "estimate", 1.0), 1.0)
         lb = max(getattr(right.plan, "estimate", 1.0), 1.0)
-        live = [
-            c
-            for c in conjuncts
-            if not (isinstance(c, ex.Const) and c.value is True)
-        ]
-        left_keys, right_keys, _ns, residual = extract_equi_keys(
-            live, left.rtindexes, right.rtindexes
-        )
-        sel = 1.0
-        if left_keys:
-            # Composite keys: the independence assumption (multiplying
-            # per-key selectivities) overstates the distinct-combination
-            # count; a side cannot carry more distinct key tuples than
-            # rows, so clamp each side's NDV product by its estimate.
-            ndv_l = ndv_r = 1.0
-            for lk, rk in zip(left_keys, right_keys):
-                ndv_l *= self._key_ndv(lk, left)
-                ndv_r *= self._key_ndv(rk, right)
-            sel = 1.0 / max(min(ndv_l, la), min(ndv_r, lb), 1.0)
-        if residual:
-            merged = {**(left.scope or {}), **(right.scope or {})}
-            for c in residual:
-                sel *= self.conjunct_selectivity(c, merged)
-        inner = max(la * lb * sel, 1.0)
         if join_type == "left":
             return max(inner, la)
         if join_type == "right":
@@ -311,26 +458,9 @@ class CostModel:
         return inner
 
     def pair_score(self, left, right, conjuncts: list[ex.Expr]) -> float:
-        """Greedy-operator-ordering score of joining two units next.
-
-        Primarily the estimated output cardinality; the work term adds
-        the evaluation cost (hash: linear in the inputs, conditional
-        nested loop: the full cross of pairs) so a cheap-output but
-        quadratically-evaluated candidate does not always win.
-        """
-        la = max(getattr(left.plan, "estimate", 1.0), 1.0)
-        lb = max(getattr(right.plan, "estimate", 1.0), 1.0)
-        est = self.join_estimate(left, right, conjuncts, "inner")
-        left_keys, _rk, _ns, _res = extract_equi_keys(
-            conjuncts, left.rtindexes, right.rtindexes
-        )
-        if left_keys:
-            work = la + lb
-        elif conjuncts:
-            work = la * lb
-        else:
-            work = est  # cross product: output built directly
-        return est + WORK_WEIGHT * work
+        """Join-ordering score of joining two units next (see
+        :meth:`price_join`)."""
+        return self._price_units(left, right, conjuncts)[1]
 
     # -- aggregation estimation ----------------------------------------------
 

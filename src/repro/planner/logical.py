@@ -27,8 +27,8 @@ The physical stage (:mod:`repro.planner.physical`) walks this graph and
 makes the operator/order decisions; the cost model
 (:mod:`repro.planner.cost`) estimates cardinalities over it.  The
 conjunct utilities at the bottom (:func:`split_conjuncts`,
-:func:`conjoin`, :func:`extract_equi_keys`) are shared by both stages
-and by the logical optimizer.
+:func:`conjoin`, :func:`equi_sides`, :func:`extract_equi_keys`) are
+shared by both stages and by the logical optimizer.
 """
 
 from __future__ import annotations
@@ -399,6 +399,42 @@ def conjoin(conjuncts: list[ex.Expr]) -> ex.Expr:
     return ex.BoolOpExpr("and", tuple(conjuncts))
 
 
+def _vars_unless_sublink(expr: ex.Expr) -> Optional[list[ex.Var]]:
+    """Level-0 Vars of ``expr`` in one walk; None when it holds a sublink."""
+    found: list[ex.Var] = []
+    for node in ex.walk(expr):
+        if isinstance(node, ex.SubLink):
+            return None
+        if isinstance(node, ex.Var) and node.levelsup == 0:
+            found.append(node)
+    return found
+
+
+def equi_sides(
+    conjunct: ex.Expr,
+) -> Optional[tuple[ex.Expr, list[ex.Var], ex.Expr, list[ex.Var]]]:
+    """``(a, vars of a, b, vars of b)`` when ``conjunct`` is a sublink-free
+    ``a = b`` / ``a <=> b`` with Vars on both sides — the only shape that
+    can become a hash-join key — and None otherwise.
+
+    Whether it *is* a key depends on the join being built (each side's
+    Vars must lie wholly in one input); that part is the caller's.  The
+    answer here is a property of the expression alone, which is what
+    lets the cost model classify a conjunct once per ordering problem
+    (:meth:`repro.planner.cost.CostModel.classify_conjuncts`).
+    """
+    if not (isinstance(conjunct, ex.OpExpr) and conjunct.op in ("=", "<=>")):
+        return None
+    a, b = conjunct.args
+    vars_a = _vars_unless_sublink(a)
+    if not vars_a:
+        return None
+    vars_b = _vars_unless_sublink(b)
+    if not vars_b:
+        return None
+    return a, vars_a, b, vars_b
+
+
 def extract_equi_keys(
     conjuncts: list[ex.Expr], left_rts: set[int], right_rts: set[int]
 ) -> tuple[list[ex.Expr], list[ex.Expr], list[bool], list[ex.Expr]]:
@@ -413,29 +449,23 @@ def extract_equi_keys(
     null_safe: list[bool] = []
     residual: list[ex.Expr] = []
     for conjunct in conjuncts:
-        if (
-            isinstance(conjunct, ex.OpExpr)
-            and conjunct.op in ("=", "<=>")
-            and not ex.contains_sublink(conjunct)
-        ):
-            a, b = conjunct.args
-            vars_a = ex.collect_vars(a)
-            vars_b = ex.collect_vars(b)
-            if vars_a and vars_b:
-                a_in_left = all(v.varno in left_rts for v in vars_a)
-                a_in_right = all(v.varno in right_rts for v in vars_a)
-                b_in_left = all(v.varno in left_rts for v in vars_b)
-                b_in_right = all(v.varno in right_rts for v in vars_b)
-                if a_in_left and b_in_right:
-                    left_keys.append(a)
-                    right_keys.append(b)
-                    null_safe.append(conjunct.op == "<=>")
-                    continue
-                if a_in_right and b_in_left:
-                    left_keys.append(b)
-                    right_keys.append(a)
-                    null_safe.append(conjunct.op == "<=>")
-                    continue
+        sides = equi_sides(conjunct)
+        if sides is not None:
+            a, vars_a, b, vars_b = sides
+            a_in_left = all(v.varno in left_rts for v in vars_a)
+            a_in_right = all(v.varno in right_rts for v in vars_a)
+            b_in_left = all(v.varno in left_rts for v in vars_b)
+            b_in_right = all(v.varno in right_rts for v in vars_b)
+            if a_in_left and b_in_right:
+                left_keys.append(a)
+                right_keys.append(b)
+                null_safe.append(conjunct.op == "<=>")
+                continue
+            if a_in_right and b_in_left:
+                left_keys.append(b)
+                right_keys.append(a)
+                null_safe.append(conjunct.op == "<=>")
+                continue
         residual.append(conjunct)
     return left_keys, right_keys, null_safe, residual
 

@@ -14,8 +14,9 @@ to hooks:
   every emitted node (rendered as ``est=`` by ``EXPLAIN``).
 
 :class:`CostBasedPlanner` (the default) answers them with the
-statistics-driven cost model of :mod:`repro.planner.cost`: greedy
-operator ordering by estimated output cardinality, build-side swapping,
+statistics-driven cost model of :mod:`repro.planner.cost`: exact
+dynamic-programming join ordering over operand subsets (greedy operator
+ordering above ``DP_MAX_RELATIONS`` operands), build-side swapping,
 late-materialization slice pushdown through hash joins, width-driven
 column- vs row-backed join output, and batch sizes bounded by the
 largest estimated intermediate.  The legacy heuristic answers live in
@@ -33,7 +34,7 @@ compile into reads of the executor's outer-row stack.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanError
@@ -68,11 +69,13 @@ from repro.planner.logical import (
     LogicalSubquery,
     LogicalUnit,
     conjoin,
-    conjunct_touches,
     decompose_from_where,
     extract_equi_keys,
 )
 from repro.storage.chunk import DEFAULT_BATCH_SIZE
+
+if TYPE_CHECKING:
+    from repro.planner.cost import ConjunctFacts
 
 # Synthetic varno for post-aggregation slots (group keys + agg results).
 _POST_AGG_VARNO = -1
@@ -142,26 +145,6 @@ class _Unit:
         # The cost-based planner pairs opposite bounds on one column so
         # their interval mass replaces the independence product.
         self.range_bounds: Optional[dict] = None
-
-
-class _EstUnit:
-    """Cost-model stand-in for a joined operand subset during DP join
-    ordering: quacks like a placed :class:`_Unit` (``plan.estimate``,
-    ``rtindexes``, ``scope``) without emitting any plan nodes, so subset
-    enumeration stays estimation-only."""
-
-    __slots__ = ("plan", "rtindexes", "scope")
-
-    class _Estimate:
-        __slots__ = ("estimate",)
-
-    def __init__(
-        self, estimate: float, rtindexes: set[int], scope: Optional[dict]
-    ) -> None:
-        self.plan = _EstUnit._Estimate()
-        self.plan.estimate = float(max(estimate, 1.0))
-        self.rtindexes = rtindexes
-        self.scope = scope
 
 
 class _SharedSubplans:
@@ -309,8 +292,11 @@ class PlannerBase:
         right: _Unit,
         join_type: str,
         conjuncts: list[ex.Expr],
+        estimate: Optional[float] = None,
     ) -> None:
-        """Estimate/statistics bookkeeping for a fresh join unit."""
+        """Estimate/statistics bookkeeping for a fresh join unit
+        (``estimate``: the output estimate, when join ordering already
+        priced this very join)."""
 
     def _annotate_aggregate(
         self, node: PlanNode, query: Query, joined: _Unit
@@ -812,6 +798,7 @@ class PlannerBase:
         join_type: str,
         conjuncts: list[ex.Expr],
         from_subquery: bool = False,
+        estimate: Optional[float] = None,
     ) -> _Unit:
         """Join two placed units; the single site every join flows through."""
         left, right = self._choose_sides(left, right, join_type, conjuncts)
@@ -826,7 +813,7 @@ class PlannerBase:
             left.rtindexes | right.rtindexes,
             from_subquery=from_subquery,
         )
-        self._annotate_join(unit, left, right, join_type, conjuncts)
+        self._annotate_join(unit, left, right, join_type, conjuncts, estimate)
         return unit
 
     def _make_join(
@@ -1124,13 +1111,18 @@ class CostBasedPlanner(PlannerBase):
 
     Decisions and the estimates behind them:
 
-    * **Join order** — greedy operator ordering (GOO): repeatedly merge
-      the pair of join operands with the smallest estimated output
-      (connected pairs first), yielding bushy trees where they pay off.
-      This is what routes TPC-H Q9's provenance core through the
-      selective ``part`` filter before touching ``lineitem``, and joins
-      Q7's two ``nation`` scans on their OR-of-name-pairs condition
-      first (25×25 pairs, ~2 survivors) instead of last.
+    * **Join order** — exact dynamic programming over operand subsets
+      (DPsub) up to :data:`DP_MAX_RELATIONS` operands: the bushy tree
+      with the smallest summed per-join score (estimated output plus
+      evaluation work), connected joins strictly before cross products.
+      Larger sets fall back to greedy operator ordering (GOO), which
+      merges the cheapest pair by the same score round by round.  Both
+      price candidates from per-conjunct facts classified once per
+      ordering problem (:meth:`_order_joins`).  This is what routes
+      TPC-H Q9's provenance core through the selective ``part`` filter
+      before touching ``lineitem``, and joins Q7's two ``nation`` scans
+      on their OR-of-name-pairs condition first (25×25 pairs, ~2
+      survivors) instead of last.
     * **Build side** — inner hash joins build on the smaller estimated
       input.
     * **Late materialization** — projections push through hash joins
@@ -1244,8 +1236,10 @@ class CostBasedPlanner(PlannerBase):
         right: _Unit,
         join_type: str,
         conjuncts: list[ex.Expr],
+        estimate: Optional[float] = None,
     ) -> None:
-        estimate = self._cost.join_estimate(left, right, conjuncts, join_type)
+        if estimate is None:
+            estimate = self._cost.join_estimate(left, right, conjuncts, join_type)
         unit.plan.estimate = estimate
         scope: dict = {}
         if left.scope:
@@ -1305,137 +1299,156 @@ class CostBasedPlanner(PlannerBase):
         Up to :data:`DP_MAX_RELATIONS` operands the order is chosen by
         dynamic programming over operand subsets (DPsub), minimizing the
         summed per-join score of the whole tree — the same
-        :meth:`CostModel.pair_score` GOO minimizes one merge at a time,
-        so the two planners agree whenever greedy happens to be optimal
-        and differ exactly where greediness loses.  Larger sets keep the
-        O(n³)-per-round greedy ordering.
-        """
-        if 2 <= len(units) <= self.DP_MAX_RELATIONS:
-            return self._order_joins_dp(units, pool)
-        return self._order_joins_goo(units, pool)
+        :meth:`~repro.planner.cost.CostModel.price_join` score GOO
+        minimizes one merge at a time, so the two agree whenever greedy
+        happens to be optimal and differ exactly where greediness loses.
+        Larger sets keep the O(n³)-per-round greedy ordering.
 
-    def _order_joins_dp(self, units: list[_Unit], pool: list[ex.Expr]) -> _Unit:
-        """Exact bushy join ordering by dynamic programming over subsets.
-
-        Enumeration is estimate-only: each subset's entry carries a
-        cost-model stand-in (estimate, rtindexes, statistics scope)
-        rather than a built plan, and the winning tree is reconstructed
-        through :meth:`_join_units` afterwards so plan emission stays on
-        the single shared path.  A pool conjunct is consumed at the
-        unique join where its referenced operands first land in one
-        subtree; conjuncts referencing a single operand are filtered
-        onto it up front, var-free leftovers wrap the final plan — the
-        same placement rules GOO applies incrementally.  Cost entries
-        are ``(cartesian joins, summed pair score)`` so connected splits
-        beat cross products lexicographically, mirroring GOO's
-        connected-first rule; when any connected split exists for a
-        subset, cartesian splits are not even scored.
+        Either way the pool is read exactly once, here: every conjunct
+        becomes a :class:`~repro.planner.cost.ConjunctFacts` record
+        (operand ``i`` = ``units[i]``), and the enumeration below prices
+        candidate joins from those records with integer and float
+        arithmetic only.
         """
-        n = len(units)
-        bit_of = {}
+        bit_of: dict[int, int] = {}
+        scope: dict = {}
         for i, unit in enumerate(units):
             for rtindex in unit.rtindexes:
                 bit_of[rtindex] = i
+            if unit.scope:
+                scope.update(unit.scope)
+        facts = self._cost.classify_conjuncts(pool, bit_of, scope)
+        if 2 <= len(units) <= self.DP_MAX_RELATIONS:
+            return self._order_joins_dp(units, facts)
+        return self._order_joins_goo(units, facts)
 
-        # Partition the pool: per-conjunct operand masks for join-level
-        # placement, single-operand conjuncts pushed as filters now,
-        # var-free conjuncts saved for a final wrapping filter.
-        conjunct_masks: list[tuple[ex.Expr, int]] = []
+    def _order_joins_dp(
+        self, units: list[_Unit], facts: list[ConjunctFacts]
+    ) -> _Unit:
+        """Exact bushy join ordering by dynamic programming over subsets.
+
+        Enumeration is estimate-only — per operand subset a row estimate,
+        a cost and the winning split, all in arrays indexed by the
+        subset's bitmask — and the winning tree is reconstructed through
+        :meth:`_join_units` afterwards so plan emission stays on the
+        single shared path.  A pool conjunct is consumed at the unique
+        join where its referenced operands first land in one subtree;
+        conjuncts referencing a single operand are filtered onto it up
+        front, var-free leftovers wrap the final plan — the same
+        placement rules GOO applies incrementally.
+
+        Conjunct placement is bitset algebra over conjunct indexes:
+        ``inside[m]`` holds the conjuncts whose operands all lie in
+        subset ``m``, so the ones a split ``sub | other`` of ``mask``
+        evaluates are ``inside[mask] & ~inside[sub] & ~inside[other]``.
+        Cost entries are ``(cartesian joins, summed pair score)`` so
+        connected splits beat cross products lexicographically,
+        mirroring GOO's connected-first rule; a subset with any conjunct
+        inside has a connected split (every such conjunct spans two
+        operands, and some split separates them), so there the splits
+        without a connecting conjunct are skipped before anything is
+        priced.
+        """
+        n = len(units)
+        price_join = self._cost.price_join
+        joinable: list[ConjunctFacts] = []
         stragglers: list[ex.Expr] = []
-        for conjunct in pool:
-            mask = 0
-            for var in ex.collect_vars(conjunct):
-                bit = bit_of.get(var.varno)
-                if bit is None:
-                    # References something outside the free join set
-                    # (GOO never consumes these either): final filter.
-                    mask = 0
-                    break
-                mask |= 1 << bit
+        for fact in facts:
+            mask = fact.mask
             if mask == 0:
-                stragglers.append(conjunct)
+                # Var-free, or references something outside the free
+                # join set (GOO never consumes these either).
+                stragglers.append(fact.conjunct)
             elif mask & (mask - 1) == 0:
                 unit = units[mask.bit_length() - 1]
                 before = max(unit.plan.estimate, 1.0)
                 unit.plan = self._filter_node(
-                    unit.plan, self._compiler(unit.varmap), conjunct
+                    unit.plan, self._compiler(unit.varmap), fact.conjunct
                 )
-                sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
-                unit.plan.estimate = max(before * sel, 1.0)
+                unit.plan.estimate = max(before * fact.selectivity, 1.0)
             else:
-                conjunct_masks.append((conjunct, mask))
+                joinable.append(fact)
 
-        def conds_for(mask: int, sub: int, other: int) -> list[ex.Expr]:
-            return [
-                c
-                for c, bits in conjunct_masks
-                if bits & ~mask == 0 and bits & ~sub and bits & ~other
-            ]
+        size = 1 << n
+        inside = [0] * size
+        for index, fact in enumerate(joinable):
+            inside[fact.mask] |= 1 << index
+        for i in range(n):
+            bit = 1 << i
+            for mask in range(size):
+                if mask & bit:
+                    inside[mask] |= inside[mask ^ bit]
 
-        # best[mask] -> (cost, split submask or 0, conds, est stand-in)
-        best: dict[int, tuple[tuple[int, float], int, list, _EstUnit]] = {}
+        picked: dict[int, list[ConjunctFacts]] = {0: []}
+
+        def pick(bits: int) -> list[ConjunctFacts]:
+            chosen = picked.get(bits)
+            if chosen is None:
+                chosen = picked[bits] = [
+                    fact for index, fact in enumerate(joinable) if bits >> index & 1
+                ]
+            return chosen
+
+        # Per subset: row estimate, (cartesian joins, summed score), the
+        # winning split's low half (0 = a single operand) and conjuncts.
+        rows = [0.0] * size
+        cartesian = [0] * size
+        score = [0.0] * size
+        split = [0] * size
+        placed = [0] * size
         for i, unit in enumerate(units):
-            best[1 << i] = (
-                (0, 0.0),
-                0,
-                [],
-                _EstUnit(unit.plan.estimate, unit.rtindexes, unit.scope),
-            )
-        for mask in range(1, 1 << n):
-            if mask & (mask - 1) == 0 or mask in best:
+            rows[1 << i] = float(max(unit.plan.estimate, 1.0))
+        for mask in range(3, size):
+            if mask & (mask - 1) == 0:
                 continue
             low = mask & -mask
-            splits: list[tuple[int, int, list[ex.Expr]]] = []
-            connected_only = False
+            within = inside[mask]
+            best: Optional[tuple[int, float]] = None
             sub = (mask - 1) & mask
             while sub:
                 # Canonical halves: the lowest operand stays in ``sub``.
-                if sub & low and (mask ^ sub) in best and sub in best:
+                if sub & low:
                     other = mask ^ sub
-                    conds = conds_for(mask, sub, other)
-                    if conds and not connected_only:
-                        connected_only = True
-                        splits = []
-                    if bool(conds) == connected_only:
-                        splits.append((sub, other, conds))
+                    cross = within & ~inside[sub] & ~inside[other]
+                    if cross or not within:
+                        estimate, pair = price_join(
+                            rows[sub], rows[other], sub, other, pick(cross)
+                        )
+                        cost = (
+                            cartesian[sub] + cartesian[other] + (0 if cross else 1),
+                            score[sub] + score[other] + pair,
+                        )
+                        if best is None or cost < best:
+                            best = cost
+                            rows[mask] = estimate
+                            split[mask] = sub
+                            placed[mask] = cross
                 sub = (sub - 1) & mask
-            choice = None
-            for sub, other, conds in splits:
-                (cart_a, score_a), _, _, est_a = best[sub]
-                (cart_b, score_b), _, _, est_b = best[other]
-                score = self._cost.pair_score(est_a, est_b, conds)
-                cost = (
-                    cart_a + cart_b + (0 if conds else 1),
-                    score_a + score_b + score,
-                )
-                if choice is None or cost < choice[0]:
-                    estimate = self._cost.join_estimate(
-                        est_a, est_b, conds, "inner"
-                    )
-                    scope = {**(est_a.scope or {}), **(est_b.scope or {})}
-                    merged = _EstUnit(
-                        estimate,
-                        est_a.rtindexes | est_b.rtindexes,
-                        scope or None,
-                    )
-                    choice = (cost, sub, conds, merged)
-            assert choice is not None
-            best[mask] = choice
+            assert best is not None
+            cartesian[mask], score[mask] = best
 
         def build(mask: int) -> _Unit:
-            cost, sub, conds, _est = best[mask]
+            sub = split[mask]
             if sub == 0:
                 return units[mask.bit_length() - 1]
-            return self._join_units(build(sub), build(mask ^ sub), "inner", conds)
+            return self._join_units(
+                build(sub),
+                build(mask ^ sub),
+                "inner",
+                [fact.conjunct for fact in pick(placed[mask])],
+                estimate=rows[mask],
+            )
 
-        current = build((1 << n) - 1)
+        current = build(size - 1)
         for conjunct in stragglers:
             current.plan = self._filter_node(
                 current.plan, self._compiler(current.varmap), conjunct
             )
         return current
 
-    def _order_joins_goo(self, units: list[_Unit], pool: list[ex.Expr]) -> _Unit:
+    def _order_joins_goo(
+        self, units: list[_Unit], facts: list[ConjunctFacts]
+    ) -> _Unit:
         """Greedy operator ordering by estimated output cardinality.
 
         Each round scores every operand pair — connected pairs (some
@@ -1445,44 +1458,48 @@ class CostBasedPlanner(PlannerBase):
         SQL join counts; the payoff is bushy orders the left-deep
         heuristic cannot express.
         """
+        price_join = self._cost.price_join
         remaining = list(units)
-        pool = list(pool)
+        masks = [1 << i for i in range(len(units))]
+        pool = list(facts)
         while len(remaining) > 1:
             best_key: Optional[tuple] = None
-            best_merge: Optional[tuple[int, int, list[ex.Expr]]] = None
+            best_merge: Optional[tuple[int, int, list[ConjunctFacts], float]] = None
             for j in range(1, len(remaining)):
                 for i in range(j):
-                    a, b = remaining[i], remaining[j]
-                    combined = a.rtindexes | b.rtindexes
-                    conds: list[ex.Expr] = []
-                    connected = False
-                    for conjunct in pool:
-                        vars_used = ex.collect_vars(conjunct)
-                        if vars_used and all(
-                            v.varno in combined for v in vars_used
-                        ):
-                            conds.append(conjunct)
-                            if not connected and conjunct_touches(
-                                conjunct, a.rtindexes, b.rtindexes
-                            ):
-                                connected = True
-                    score = self._cost.pair_score(a, b, conds)
+                    a, b = masks[i], masks[j]
+                    outside = ~(a | b)
+                    conds = [f for f in pool if f.mask and not f.mask & outside]
+                    connected = any(f.mask & a and f.mask & b for f in conds)
+                    estimate, score = price_join(
+                        remaining[i].plan.estimate,
+                        remaining[j].plan.estimate,
+                        a,
+                        b,
+                        conds,
+                    )
                     key = (not connected, score, i, j)
                     if best_key is None or key < best_key:
                         best_key = key
-                        best_merge = (i, j, conds)
+                        best_merge = (i, j, conds, estimate)
             assert best_merge is not None
-            i, j, conds = best_merge
-            merged = self._join_units(remaining[i], remaining[j], "inner", conds)
-            consumed = {id(c) for c in conds}
-            pool = [c for c in pool if id(c) not in consumed]
-            remaining[i] = merged
-            del remaining[j]
+            i, j, conds, estimate = best_merge
+            remaining[i] = self._join_units(
+                remaining[i],
+                remaining[j],
+                "inner",
+                [f.conjunct for f in conds],
+                estimate=estimate,
+            )
+            masks[i] |= masks[j]
+            del remaining[j], masks[j]
+            consumed = {id(f) for f in conds}
+            pool = [f for f in pool if id(f) not in consumed]
         current = remaining[0]
-        for conjunct in pool:
+        for fact in pool:
             # Conjuncts referencing no vars (constants) or left over.
             current.plan = self._filter_node(
-                current.plan, self._compiler(current.varmap), conjunct
+                current.plan, self._compiler(current.varmap), fact.conjunct
             )
         return current
 

@@ -143,6 +143,38 @@ def test_in_list_selectivity(db):
     )
 
 
+def test_failing_filter_constants_are_not_constants(db):
+    """A constant the row compiler cannot evaluate — ``1/0``, a function
+    it does not know — is priced as an opaque operand; the statement
+    still plans, and the failure stays the executor's to report."""
+    from repro.analyzer import expressions as ex
+    from repro.errors import ExecutionError
+    from repro.planner.cost import DEFAULT_RANGE_SEL, _NO_CONST, _const_value
+
+    assert _selectivity(db, "k < 1/0") == DEFAULT_RANGE_SEL
+    with pytest.raises(ExecutionError, match="division by zero"):
+        db.execute("SELECT k FROM facts WHERE k < 1/0")
+
+    one = ex.Const(1, None)
+    unknown = ex.FuncExpr("no_such_function", (one,), None)
+    assert _const_value(unknown) is _NO_CONST
+    assert _const_value(ex.OpExpr("+", (one, ex.Const("x", None)), None)) is _NO_CONST
+    assert _const_value(ex.OpExpr("+", (one, one), None)) == 2
+
+
+def test_compiler_bugs_in_constant_evaluation_surface(db, monkeypatch):
+    """Only the typed evaluation failures mean "not a constant": a bug in
+    the expression compiler must not silently become a worse estimate."""
+    from repro.executor.expr_eval import ExprCompiler
+
+    def broken(self, expr):
+        raise KeyError("compiler bug")
+
+    monkeypatch.setattr(ExprCompiler, "compile", broken)
+    with pytest.raises(KeyError, match="compiler bug"):
+        _selectivity(db, "k < 1 + 1")
+
+
 # ---------------------------------------------------------------------------
 # Cardinality estimates on plans
 # ---------------------------------------------------------------------------
