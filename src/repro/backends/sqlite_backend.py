@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import datetime
 import sqlite3
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.datatypes import Interval, SQLType, parse_date
 from repro.errors import BackendUnsupportedError, ExecutionError
@@ -71,19 +71,57 @@ def to_sqlite_value(value: Any) -> Any:
     raise ExecutionError(f"cannot ship value {value!r} to SQLite")
 
 
+def _dates(values: Sequence) -> list:
+    return [parse_date(v) if isinstance(v, str) else v for v in values]
+
+
+def _booleans(values: Sequence) -> list:
+    return [None if v is None else bool(v) for v in values]
+
+
+def _polynomials(values: Sequence) -> list:
+    return [Polynomial.from_wire(v) if isinstance(v, str) else v for v in values]
+
+
+def _floats(values: Sequence) -> list:
+    return [float(v) if isinstance(v, int) else v for v in values]
+
+
+#: Analyzed output type → converter of one result column's SQLite values
+#: to engine values (ISO text → ``date``, 0/1 → ``bool``, wire string →
+#: ``Polynomial``, integral REAL → ``float``; NULL stays NULL).  Types
+#: absent here come back from SQLite exactly as the engine holds them.
+_FROM_SQLITE = {
+    SQLType.DATE: _dates,
+    SQLType.BOOLEAN: _booleans,
+    SQLType.POLYNOMIAL: _polynomials,
+    SQLType.FLOAT: _floats,
+}
+
+
 def from_sqlite_value(value: Any, sql_type: SQLType) -> Any:
     """SQLite result value → engine value, guided by the analyzed type."""
-    if value is None:
-        return None
-    if sql_type is SQLType.DATE and isinstance(value, str):
-        return parse_date(value)
-    if sql_type is SQLType.BOOLEAN:
-        return bool(value)
-    if sql_type is SQLType.POLYNOMIAL and isinstance(value, str):
-        return Polynomial.from_wire(value)
-    if sql_type is SQLType.FLOAT and isinstance(value, int):
-        return float(value)
-    return value
+    convert = _FROM_SQLITE.get(sql_type)
+    return value if convert is None else convert((value,))[0]
+
+
+def _convert_rows(rows: list[tuple], types: list[SQLType]) -> list[tuple]:
+    """Map SQLite result rows to engine values, one converter per column.
+
+    Columns whose type needs no conversion pass through untouched; when
+    no column needs one the rows come back as SQLite returned them.
+    """
+    converters = [
+        (index, _FROM_SQLITE[sql_type])
+        for index, sql_type in enumerate(types)
+        if sql_type in _FROM_SQLITE
+    ]
+    if not converters or not rows:
+        return rows
+    columns = list(zip(*rows))
+    for index, convert in converters:
+        columns[index] = convert(columns[index])
+    return list(zip(*columns))
 
 
 # -- user functions ----------------------------------------------------------
@@ -126,17 +164,22 @@ def _poly_monus(left, right):
 
 
 class _PolySum:
-    """``create_aggregate`` adapter for the semiring sum of polynomials."""
+    """``create_aggregate`` adapter for the semiring sum of polynomials.
+
+    ``step`` only collects the wire strings; ``finalize`` parses them and
+    normalises the sum once (:meth:`Polynomial.sum_all`), instead of
+    re-normalising a growing partial sum on every row.
+    """
 
     def __init__(self) -> None:
-        self.total = Polynomial.zero()
+        self.wires: list[str] = []
 
     def step(self, value) -> None:
         if value is not None:
-            self.total = self.total + Polynomial.from_wire(value)
+            self.wires.append(value)
 
     def finalize(self) -> str:
-        return self.total.to_wire()
+        return Polynomial.sum_all(map(Polynomial.from_wire, self.wires)).to_wire()
 
 
 class SqliteBackend(ExecutionBackend):
@@ -175,14 +218,9 @@ class SqliteBackend(ExecutionBackend):
                 f"SQLite backend error: {exc}\n-- translated SQL --\n{sql}"
             ) from exc
         self._statements += 1
-        types = query.output_types()
-        rows = [
-            tuple(from_sqlite_value(v, t) for v, t in zip(row, types))
-            for row in raw
-        ]
         return QueryResult(
             columns=query.output_columns(),
-            rows=rows,
+            rows=_convert_rows(raw, query.output_types()),
             annotation_column=query.annotation_column,
         )
 

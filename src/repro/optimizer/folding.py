@@ -11,7 +11,11 @@ logic and bag semantics:
   dialect can translate;
 * **boolean shortening** — ``TRUE``/``FALSE`` absorption in AND/OR chains
   (NULL-safe: ``FALSE AND NULL`` is ``FALSE``, ``TRUE OR NULL`` is
-  ``TRUE``), ``NOT`` of a constant, constant-condition CASE arms;
+  ``TRUE``), ``NOT`` of a constant, constant-condition CASE arms, and OR
+  factoring — ``(a AND x) OR (a AND y)`` becomes ``a AND (x OR y)`` and
+  ``a OR (a AND y)`` becomes ``a`` (distributivity and absorption hold in
+  Kleene logic).  Factoring is what lets a SQL backend see TPC-H Q19's
+  join key: left inside each OR arm, SQLite plans a nested loop;
 * **WHERE TRUE / ON TRUE removal** — a qual that folded to ``TRUE`` is
   dropped (inner-join ``ON TRUE`` conditions included);
 * **subquery ORDER BY / DISTINCT cleanup** — an ORDER BY without LIMIT in
@@ -27,6 +31,7 @@ import datetime
 from typing import Optional
 
 from repro.datatypes import Interval, SQLType
+from repro.errors import PermError
 from repro.analyzer import expressions as ex
 from repro.analyzer.query_tree import (
     JoinTreeExpr,
@@ -36,6 +41,7 @@ from repro.analyzer.query_tree import (
     SetOpNode,
     SetOpRangeRef,
 )
+from repro.planner.logical import _factor_or, conjoin
 
 BOOL = SQLType.BOOLEAN
 
@@ -193,7 +199,10 @@ def _evaluate_const(expr: ex.Expr) -> Optional[ex.Const]:
 
     try:
         value = ExprCompiler({}).compile(expr)((), ExecContext())
-    except Exception:
+    except (PermError, ArithmeticError, TypeError, ValueError):
+        # The typed ways evaluation fails (``1/0``, a bad cast): the
+        # expression stays and raises at run time.  Anything else is a
+        # compiler bug and must surface.
         return None
     if value is not None and not isinstance(value, _LITERAL_TYPES):
         return None
@@ -237,6 +246,11 @@ def _shorten_bool(expr: ex.BoolOpExpr) -> ex.Expr:
             return ex.Const(False, BOOL)
         if all(_is_null_const(a) for a in keep):
             return ex.Const(None, BOOL)
+        if len(keep) > 1:
+            if len(keep) != len(args):
+                expr = ex.BoolOpExpr("or", tuple(keep))
+            factored = _factor_or(expr)
+            return expr if factored is None else conjoin(factored)
     if len(keep) == 1:
         return keep[0]
     if len(keep) != len(args):

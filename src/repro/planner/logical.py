@@ -378,7 +378,11 @@ def split_conjuncts(expr: ex.Expr) -> list[ex.Expr]:
 
 
 def _factor_or(expr: ex.BoolOpExpr) -> Optional[list[ex.Expr]]:
-    """Extract conjuncts common to every arm of an OR, if any."""
+    """Extract conjuncts common to every arm of an OR, if any.
+
+    Also the optimizer's ``fold`` rule, so the factored form is what a SQL
+    backend receives; factoring a factored OR again finds nothing.
+    """
     arms = [split_conjuncts(arg) for arg in expr.args]
     common = [c for c in arms[0] if all(any(c == d for d in arm) for arm in arms[1:])]
     if not common:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 
 import repro
@@ -12,8 +14,10 @@ from repro.backends import (
     register_backend,
 )
 from repro.backends.base import collect_base_relations
+from repro.backends.sqlite_backend import _convert_rows, from_sqlite_value
+from repro.datatypes import SQLType
 from repro.errors import BackendUnsupportedError, PermError
-from repro.semiring import Polynomial
+from repro.semiring import Polynomial, polynomial
 
 from tests.backends.support import assert_same_result
 
@@ -117,6 +121,62 @@ def test_polynomial_annotations_cross_backend():
     assert sorted(sq.evaluate_provenance("counting")) == sorted(
         py.evaluate_provenance("counting")
     )
+
+
+def test_sqlite_poly_sum_normalises_each_monomial_once(monkeypatch):
+    # One group of n single-term polynomials: summing must normalise O(n)
+    # monomials, not re-normalise a growing partial sum on every row.
+    n = 2000
+    con = repro.connect(backend="sqlite").backend._con
+    con.execute("CREATE TABLE wires (w TEXT)")
+    terms = [Polynomial.variable(f"r{i}") for i in range(n)]
+    con.executemany("INSERT INTO wires VALUES (?)", [(p.to_wire(),) for p in terms])
+    calls = 0
+    normalize = polynomial._normalize_monomial
+
+    def counting(monomial):
+        nonlocal calls
+        calls += 1
+        return normalize(monomial)
+
+    monkeypatch.setattr(polynomial, "_normalize_monomial", counting)
+    (wire,) = con.execute("SELECT perm_poly_sum(w) FROM wires").fetchone()
+    assert calls <= 2 * n + 10
+    monkeypatch.undo()
+    assert Polynomial.from_wire(wire) == Polynomial.sum_all(terms)
+
+
+# -- result conversion -------------------------------------------------------
+
+
+def test_sqlite_results_convert_per_column():
+    types = [
+        SQLType.DATE, SQLType.BOOLEAN, SQLType.FLOAT, SQLType.POLYNOMIAL,
+        SQLType.INTEGER, SQLType.TEXT,
+    ]
+    poly = Polynomial.variable("x") * Polynomial.variable("y")
+    raw = [
+        ("1995-03-15", 1, 3, poly.to_wire(), 7, "a"),
+        (None, 0, 2.5, None, None, None),
+        ("1995-03-15", None, None, Polynomial.zero().to_wire(), 8, "b"),
+    ]
+    rows = _convert_rows(raw, types)
+    assert rows == [
+        (datetime.date(1995, 3, 15), True, 3.0, poly, 7, "a"),
+        (None, False, 2.5, None, None, None),
+        (datetime.date(1995, 3, 15), None, None, Polynomial.zero(), 8, "b"),
+    ]
+    assert type(rows[0][1]) is bool and type(rows[1][1]) is bool
+    assert type(rows[0][2]) is float
+    # The scalar form reads the same table.
+    for raw_row, row in zip(raw, rows):
+        assert tuple(from_sqlite_value(v, t) for v, t in zip(raw_row, types)) == row
+
+
+def test_sqlite_results_needing_no_conversion_are_not_copied():
+    raw = [(1, "a"), (None, "b")]
+    assert _convert_rows(raw, [SQLType.INTEGER, SQLType.TEXT]) is raw
+    assert _convert_rows([], [SQLType.DATE]) == []
 
 
 # -- incremental sync --------------------------------------------------------

@@ -7,13 +7,16 @@ both the tree structure and the query results are checked.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import repro
 from repro.analyzer import expressions as ex
 from repro.analyzer.analyzer import Analyzer
-from repro.analyzer.query_tree import RTEKind
+from repro.analyzer.query_tree import JoinTreeExpr, RTEKind
 from repro.core.rewriter import traverse_query_tree
+from repro.errors import PermError
 from repro.optimizer import (
     RULE_NAMES,
     fold_node,
@@ -23,6 +26,7 @@ from repro.optimizer import (
     pull_up_node,
     push_down_node,
 )
+from repro.planner.logical import split_conjuncts
 from repro.sql.parser import parse_statement
 
 
@@ -283,6 +287,120 @@ def test_fold_keeps_where_false(db):
     fold_node(query)
     assert query.jointree.quals is not None
     assert run_query(db, query) == []
+
+
+def test_fold_keeps_division_by_zero_for_run_time(db):
+    query = analyze(db, "SELECT a FROM t WHERE b > 1 / 0")
+    fold_node(query)
+    bound = query.jointree.quals.args[1]
+    assert isinstance(bound, ex.OpExpr) and bound.op == "/"  # not folded
+    with pytest.raises(PermError, match="division by zero"):
+        run_query(db, query)
+
+
+def test_fold_surfaces_compiler_bugs(db, monkeypatch):
+    from repro.executor.expr_eval import ExprCompiler
+
+    def broken(self, expr):
+        raise KeyError("compiler bug")
+
+    monkeypatch.setattr(ExprCompiler, "compile", broken)
+    query = analyze(db, "SELECT a FROM t WHERE b > 10 + 5")
+    with pytest.raises(KeyError, match="compiler bug"):
+        fold_node(query)
+
+
+# ---------------------------------------------------------------------------
+# OR factoring (part of fold)
+# ---------------------------------------------------------------------------
+
+
+def _is_eq(expr, left, right):
+    return (
+        isinstance(expr, ex.OpExpr) and expr.op == "="
+        and [(v.varno, v.varattno) for v in expr.args] == [left, right]
+    )
+
+
+def test_fold_factors_common_conjunct_out_of_or(db):
+    # The TPC-H Q19 shape: the join key repeated inside every OR arm.
+    query = analyze(
+        db,
+        "SELECT a, y FROM t, s "
+        "WHERE (a = x AND b > 10) OR (a = x AND y < 150) OR (b = 10 AND a = x)",
+    )
+    baseline = run_query(db, query)
+    assert fold_node(query) is True
+    quals = query.jointree.quals
+    assert isinstance(quals, ex.BoolOpExpr) and quals.op == "and"
+    key, rest = quals.args
+    assert _is_eq(key, (0, 0), (1, 0))  # t.a = s.x, hoisted
+    assert isinstance(rest, ex.BoolOpExpr) and rest.op == "or"
+    assert len(rest.args) == 3
+    assert not any(_is_eq(arg, (0, 0), (1, 0)) for arm in rest.args for arg in arm.args)
+    assert run_query(db, query) == baseline
+
+
+def test_fold_or_absorption(db):
+    query = analyze(db, "SELECT a, b FROM t WHERE a = 2 OR (a = 2 AND b > 20)")
+    baseline = run_query(db, query)
+    assert fold_node(query) is True
+    quals = query.jointree.quals
+    assert isinstance(quals, ex.OpExpr) and quals.op == "="
+    assert run_query(db, query) == baseline == [(2, 20), (2, 25)]
+
+
+def test_fold_or_without_common_conjunct_is_untouched(db):
+    query = analyze(db, "SELECT a FROM t WHERE (a = 1 AND b = 10) OR (a = 3 AND b = 30)")
+    original = query.jointree.quals
+    assert fold_node(query) is False
+    assert query.jointree.quals is original
+
+
+def test_fold_factors_inner_join_on(db):
+    query = analyze(
+        db, "SELECT a, y FROM t JOIN s ON (a = x AND b > 10) OR (a = x AND y > 150)"
+    )
+    baseline = run_query(db, query)
+    assert fold_node(query) is True
+    (join,) = query.jointree.items
+    assert isinstance(join, JoinTreeExpr) and join.join_type == "inner"
+    assert join.quals.op == "and" and _is_eq(join.quals.args[0], (0, 0), (1, 0))
+    assert run_query(db, query) == baseline == [(2, 200), (2, 200)]
+
+
+def test_fold_or_factoring_is_stable_on_second_pass(db):
+    sql = "SELECT a FROM t, s WHERE b > 0 AND ((a = x AND c = 'q') OR (x = 9 AND a = x))"
+    query = analyze(db, sql)
+    assert fold_node(query) is True
+    factored = repr(query.jointree.quals)
+    assert fold_node(query) is False
+    assert repr(query.jointree.quals) == factored
+    # The planner's conjunct pool is the same list with or without folding.
+    unfolded = analyze(db, sql).jointree.quals
+    assert split_conjuncts(query.jointree.quals) == split_conjuncts(unfolded)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    ["(a AND x) OR (a AND y)", "a OR (a AND y)", "(x AND a) OR (y AND a) OR a"],
+)
+def test_fold_or_factoring_truth_table(db, condition):
+    # Every assignment over {TRUE, FALSE, NULL}^3: the factored form agrees
+    # with the original under three-valued logic.
+    db.execute("CREATE TABLE tv (k integer, a boolean, x boolean, y boolean)")
+    values = (True, False, None)
+    db.load_table("tv", [
+        (k, *abc) for k, abc in enumerate(itertools.product(values, repeat=3))
+    ])
+    sql = f"SELECT k, {condition} FROM tv"
+    original = analyze(db, sql)
+    factored = analyze(db, sql)
+    assert fold_node(factored) is True
+    assert repr(factored.target_list[1].expr) != repr(original.target_list[1].expr)
+    rows = run_query(db, factored)
+    assert len(rows) == 27
+    assert rows == run_query(db, original)
 
 
 def test_cleanup_drops_subquery_order_by(db):
