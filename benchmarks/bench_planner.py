@@ -17,10 +17,11 @@ Q7 joins its two ``nation`` scans on the OR-of-name-pairs condition
 first (625 cheap pairs, ~2 survivors) instead of dragging the full
 lineitem stream through five joins.
 
-Methodology matches ``bench_vectorized``: warm once (statement cache,
-plan cache, columnar heap caches, ANALYZE for the cost-based side),
-then interleave the two configurations per repetition and keep the
-per-configuration minimum.
+Methodology: warm once (statement cache, plan cache, columnar heap
+caches, ANALYZE for the cost-based side), then interleave the two
+configurations per repetition and keep the per-configuration minimum.
+Both configurations run the one (batch, fused) executor; only the
+planner differs.
 
 Emits ``BENCH_planner.json``; the CI smoke gate (quick mode) fails when
 any query is more than 1.25× slower cost-based, and the full run

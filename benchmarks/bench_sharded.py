@@ -18,8 +18,8 @@ The workload has two parts:
   aggregation touching every shard; these gate at parity (a sharded
   deployment must not tax queries pruning cannot help — bound 1.15×).
 
-Methodology matches ``bench_fused``: warm both configurations once,
-interleave per repetition, keep per-configuration minima.  Emits
+Methodology: warm both configurations once, interleave per
+repetition, keep per-configuration minima.  Emits
 ``BENCH_sharded.json`` including ``cpu_count`` — pruning gates hold on
 any host; wall-clock *parallel* effects are informational only.
 ``PERM_BENCH_QUICK=1`` shrinks the query set and repeat count.

@@ -15,8 +15,6 @@ Inside the shell, end statements with ``;``.  Meta commands:
 * ``\\explain+ <query>`` additionally execute the plan and annotate
   every node with actual row/batch counts and wall time,
 * ``\\optimize [on|off]`` show or toggle the logical optimizer,
-* ``\\vectorize [on|off]`` show or toggle batch-at-a-time execution,
-* ``\\fuse [on|off]`` show or toggle pipeline-fused kernel codegen,
 * ``\\costbased [on|off]`` show or toggle cost-based planning,
 * ``\\parallel [off|N]`` show or set morsel-driven parallel workers,
 * ``\\analyze [table]`` collect planner statistics (ANALYZE),
@@ -90,14 +88,12 @@ def _build_database(args: argparse.Namespace) -> repro.PermDatabase:
         elif args.backend != "python":
             db.set_backend(args.backend)
         db.optimizer_enabled = not args.no_optimize
-        db.vectorize_enabled = not args.no_vectorize
         db.cost_based_enabled = not args.no_cost_based
         db.parallel_executor = args.executor
         return db
     db = repro.connect(
         backend=args.backend,
         optimize=not args.no_optimize,
-        vectorize=not args.no_vectorize,
         cost_based=not args.no_cost_based,
         parallel_executor=args.executor,
         shards=args.shards,
@@ -196,26 +192,6 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
             return True
         state = "on" if db.optimizer_enabled else "off"
         print(f"logical optimizer: {state}")
-        return True
-    if command == "\\vectorize":
-        choice = rest.strip().lower()
-        if choice in ("on", "off"):
-            db.vectorize_enabled = choice == "on"
-        elif choice:
-            print("usage: \\vectorize [on|off]")
-            return True
-        state = "on" if db.vectorize_enabled else "off"
-        print(f"vectorized execution: {state}")
-        return True
-    if command == "\\fuse":
-        choice = rest.strip().lower()
-        if choice in ("on", "off"):
-            db.fuse_pipelines_enabled = choice == "on"
-        elif choice:
-            print("usage: \\fuse [on|off]")
-            return True
-        state = "on" if db.fuse_pipelines_enabled else "off"
-        print(f"pipeline fusion: {state}")
         return True
     if command == "\\costbased":
         choice = rest.strip().lower()
@@ -394,7 +370,7 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
     print(
         "unknown meta command "
         f"{command!r} (\\q, \\d, \\rewrite, \\explain, \\explain+, "
-        "\\optimize, \\vectorize, \\fuse, \\costbased, \\parallel, \\analyze, "
+        "\\optimize, \\costbased, \\parallel, \\analyze, "
         "\\stats, \\matviews, \\semirings, \\backend, \\shards, \\server, "
         "\\wal, \\checkpoint)"
     )
@@ -417,9 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-optimize", action="store_true",
                         help="disable the logical optimizer (plan the "
                              "rewritten tree verbatim)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="disable batch-at-a-time execution (run the "
-                             "Python engine tuple-at-a-time)")
     parser.add_argument("--no-cost-based", action="store_true",
                         help="plan with the legacy heuristic join ordering "
                              "instead of the statistics-driven cost model")
@@ -486,8 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     print("Perm repro shell -- SELECT PROVENANCE ... to compute provenance.")
     print(
         "\\q quit, \\d relations, \\rewrite <q>, \\explain[+] <q>, "
-        "\\optimize [on|off], \\vectorize [on|off], \\fuse [on|off], "
-        "\\costbased [on|off], "
+        "\\optimize [on|off], \\costbased [on|off], "
         "\\parallel [off|N], \\analyze [table], \\stats, \\matviews, "
         "\\semirings, \\backend [name], \\shards, "
         "\\server [start|stats|stop]"

@@ -4,12 +4,10 @@ This wraps the planner plus executor behind the
 :class:`ExecutionBackend` protocol.  It is the default backend and the
 semantic reference the other backends are differentially tested against.
 
-Execution runs **vectorized** by default: the planner attaches batch
-kernels to the plan and the engine pulls columnar
-:class:`~repro.storage.chunk.Chunk` batches through ``run_batches``.
-``vectorize=False`` (or ``PermDatabase(vectorize=False)``) switches to
-the original tuple-at-a-time row engine — same plan shapes, same
-semantics, differentially tested against each other.
+Execution is batch-at-a-time: the planner attaches batch kernels to the
+plan, fuses scan→filter→project chains into generated kernels, and the
+engine pulls columnar :class:`~repro.storage.chunk.Chunk` batches
+through ``run_batches``.
 
 Planning is **cost-based** by default: the statistics-driven
 :class:`~repro.planner.physical.CostBasedPlanner` picks join orders and
@@ -42,25 +40,24 @@ class PythonBackend(ExecutionBackend):
     #: Bound on the number of cached physical plans.
     PLAN_CACHE_SIZE = 64
 
+    #: Constant: every plan runs batch-at-a-time with fused pipelines
+    #: (callers that plan like this backend still read the names).
+    vectorize = True
+    fuse_pipelines = True
+
     def __init__(
         self,
         catalog: "Catalog",
-        vectorize: bool = True,
         cost_based: bool = True,
         parallel_workers: int = 1,
         morsel_size: Optional[int] = None,
-        fuse_pipelines: bool = True,
         parallel_executor: str = "thread",
     ) -> None:
         super().__init__(catalog)
-        self.vectorize = vectorize
         self.cost_based = cost_based
-        #: Pipeline-fusion toggle (vectorized plans only); differential
-        #: tests run fused vs. unfused engines against each other.
-        self.fuse_pipelines = fuse_pipelines
         #: Fan-out for morsel-driven parallel scans (1 = serial).
         #: ``None`` resolves to the host CPU count at plan time.  Only
-        #: the vectorized cost-based path parallelizes.
+        #: the cost-based planner parallelizes.
         self.parallel_workers = parallel_workers
         #: Morsel granularity override (None = repro.parallel default).
         self.morsel_size = morsel_size
@@ -72,7 +69,7 @@ class PythonBackend(ExecutionBackend):
         # spools, sublink memos) lives in the ExecContext; the cached
         # Query reference keeps the id() key from being recycled.  DDL
         # invalidates via the catalog epoch, fresh statistics via the
-        # stats epoch; vectorize/cost-based/parallel toggles via the key.
+        # stats epoch; cost-based/parallel toggles via the key.
         self._plan_cache: dict[tuple, tuple[Query, object]] = {}
         self._plan_cache_epochs: tuple = (-1, -1)
         # Server sessions share one backend across handler threads, so
@@ -87,18 +84,16 @@ class PythonBackend(ExecutionBackend):
     def _plan(self, query: Query):
         from repro.planner import make_planner
 
-        workers = self._resolved_workers() if self.vectorize else 1
+        workers = self._resolved_workers()
         epochs = (
             getattr(self.catalog, "epoch", None),
             getattr(self.catalog, "stats_epoch", None),
         )
         key = (
             id(query),
-            self.vectorize,
             self.cost_based,
             workers,
             self.morsel_size,
-            self.fuse_pipelines,
             self.parallel_executor,
         )
         with self._plan_cache_lock:
@@ -111,10 +106,8 @@ class PythonBackend(ExecutionBackend):
         plan = make_planner(
             self.catalog,
             cost_based=self.cost_based,
-            vectorize=self.vectorize,
             parallel_workers=workers,
             morsel_size=self.morsel_size,
-            fuse_pipelines=self.fuse_pipelines,
             parallel_executor=self.parallel_executor,
         ).plan(query)
         with self._plan_cache_lock:
@@ -137,7 +130,6 @@ class PythonBackend(ExecutionBackend):
         plan = self._plan(query)
         ctx = ExecContext(
             batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE,
-            vectorized=self.vectorize,
             snapshot=snapshot,
             deadline=None if timeout is None else time.monotonic() + timeout,
         )
@@ -149,9 +141,8 @@ class PythonBackend(ExecutionBackend):
         )
 
     def describe(self) -> str:
-        mode = "vectorized" if self.vectorize else "row-at-a-time"
         planner = "cost-based" if self.cost_based else "heuristic"
         return (
-            f"in-process Python planner/executor ({mode}, {planner} planner, "
+            f"in-process Python planner/executor (vectorized, {planner} planner, "
             "reference semantics)"
         )

@@ -34,8 +34,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.catalog.catalog import Catalog, ViewDefinition
 from repro.catalog.schema import Column, TableSchema
-from repro.datatypes import SQLType, type_from_name
-from repro.errors import AnalyzeError, CatalogError, ExecutionError, PermError
+from repro.datatypes import SQLType, parse_date, type_from_name
+from repro.errors import (
+    AnalyzeError,
+    CatalogError,
+    ExecutionError,
+    PermError,
+    TypeMismatchError,
+)
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.query_tree import Query
 from repro.executor.context import ExecContext
@@ -167,16 +173,12 @@ class PreparedQuery:
     query: Query
     compile_seconds: float
     rewrite_seconds: float = 0.0
-    vectorize: bool = False
 
     def run(self) -> QueryResult:
         from repro.executor.nodes import run_plan_rows
         from repro.storage.chunk import DEFAULT_BATCH_SIZE
 
-        ctx = ExecContext(
-            batch_size=self.plan.batch_size_hint or DEFAULT_BATCH_SIZE,
-            vectorized=self.vectorize,
-        )
+        ctx = ExecContext(batch_size=self.plan.batch_size_hint or DEFAULT_BATCH_SIZE)
         rows = run_plan_rows(self.plan, ctx)
         return QueryResult(
             columns=list(self.plan.output_names),
@@ -281,9 +283,7 @@ class PermDatabase:
         provenance_module_enabled: bool = True,
         backend: "BackendSpec" = "python",
         optimize: bool = True,
-        vectorize: bool = True,
         cost_based: bool = True,
-        fuse_pipelines: bool = True,
         statement_cache_size: int = 64,
         parallel_workers: int = 1,
         parallel_executor: str = "thread",
@@ -299,9 +299,7 @@ class PermDatabase:
         self.catalog = Catalog()
         self.provenance_module_enabled = provenance_module_enabled
         self.optimizer_enabled = optimize
-        self._vectorize = vectorize
         self._cost_based = cost_based
-        self._fuse_pipelines = fuse_pipelines
         self._parallel_workers = parallel_workers
         self._parallel_executor = parallel_executor
         #: Refresh stale ANALYZE statistics automatically once a table
@@ -320,9 +318,7 @@ class PermDatabase:
                 )
 
         self._backend = create_backend(backend, self.catalog)
-        self._propagate_vectorize()
         self._propagate_cost_based()
-        self._propagate_fuse()
         self._propagate_parallel()
         self._propagate_executor()
         self._stmt_cache = _StatementCache(statement_cache_size)
@@ -358,30 +354,9 @@ class PermDatabase:
         replacement = create_backend(backend, self.catalog)
         self._backend.close()
         self._backend = replacement
-        self._propagate_vectorize()
         self._propagate_cost_based()
-        self._propagate_fuse()
         self._propagate_parallel()
         self._propagate_executor()
-
-    # -- vectorized execution toggle -------------------------------------------
-
-    @property
-    def vectorize_enabled(self) -> bool:
-        """Whether the Python engine executes batch-at-a-time (vectorized)."""
-        return self._vectorize
-
-    @vectorize_enabled.setter
-    def vectorize_enabled(self, value: bool) -> None:
-        self._vectorize = bool(value)
-        self._propagate_vectorize()
-
-    def _propagate_vectorize(self) -> None:
-        # Only the in-process Python backend interprets plans itself;
-        # other backends (SQLite, ...) execute deparsed SQL and have no
-        # notion of chunked interpretation.
-        if hasattr(self._backend, "vectorize"):
-            self._backend.vectorize = self._vectorize
 
     # -- cost-based planning toggle ---------------------------------------------
 
@@ -401,25 +376,6 @@ class PermDatabase:
         if hasattr(self._backend, "cost_based"):
             self._backend.cost_based = self._cost_based
 
-    # -- pipeline-fusion toggle --------------------------------------------------
-
-    @property
-    def fuse_pipelines_enabled(self) -> bool:
-        """Whether vectorized plans collapse scan→filter→project chains
-        into single generated kernels (:mod:`repro.executor.fusion`);
-        ``False`` keeps the per-operator batch pipeline, the
-        differential oracle for the fused path."""
-        return self._fuse_pipelines
-
-    @fuse_pipelines_enabled.setter
-    def fuse_pipelines_enabled(self, value: bool) -> None:
-        self._fuse_pipelines = bool(value)
-        self._propagate_fuse()
-
-    def _propagate_fuse(self) -> None:
-        if hasattr(self._backend, "fuse_pipelines"):
-            self._backend.fuse_pipelines = self._fuse_pipelines
-
     # -- morsel-driven parallelism ----------------------------------------------
 
     @property
@@ -430,7 +386,7 @@ class PermDatabase:
         the cost-based planner insert exchange operators that run
         parallel-safe scan pipelines on ``N`` worker threads
         (:mod:`repro.parallel`); ``None`` resolves to the host CPU
-        count.  Only the vectorized Python backend parallelizes.
+        count.  Only the Python backend parallelizes.
         """
         return self._parallel_workers
 
@@ -635,7 +591,6 @@ class PermDatabase:
             self.provenance_module_enabled,
             self.optimizer_enabled,
             self._cost_based,
-            self._fuse_pipelines,
         )
 
     def cache_stats(self) -> dict[str, int]:
@@ -783,9 +738,8 @@ class PermDatabase:
         planner builds from it.
 
         ``analyze=True`` additionally *executes* the plan (with the
-        in-process engine, in the database's current vectorize mode) and
-        annotates every node with actual row counts, batch counts and
-        inclusive wall time.
+        in-process engine) and annotates every node with actual row
+        counts, batch counts and inclusive wall time.
         """
         from repro.optimizer import format_query_tree, optimize_query_tree
 
@@ -806,10 +760,8 @@ class PermDatabase:
         plan = make_planner(
             self.catalog,
             cost_based=self._cost_based,
-            vectorize=self._vectorize,
             parallel_workers=resolve_worker_count(self._parallel_workers),
             morsel_size=getattr(self._backend, "morsel_size", None),
-            fuse_pipelines=self._fuse_pipelines,
             parallel_executor=self._parallel_executor,
         ).plan(query)
         describe_scatter = getattr(self._backend, "describe_scatter", None)
@@ -827,19 +779,12 @@ class PermDatabase:
         from repro.storage.chunk import DEFAULT_BATCH_SIZE
 
         stats = instrument_plan(plan)
-        ctx = ExecContext(
-            batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE,
-            vectorized=self._vectorize,
-        )
+        ctx = ExecContext(batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE)
         start = time.perf_counter()
-        if self._vectorize:
-            total_rows = sum(len(chunk) for chunk in plan.run_batches(ctx))
-        else:
-            total_rows = sum(1 for _ in plan.run(ctx))
+        total_rows = sum(len(chunk) for chunk in plan.run_batches(ctx))
         elapsed = time.perf_counter() - start
-        mode = "vectorized" if self._vectorize else "row-at-a-time"
         sections += [
-            f"-- physical plan (analyzed, {mode}) --",
+            "-- physical plan (analyzed, vectorized) --",
             format_plan_with_stats(plan, stats),
             f"-- execution: {total_rows} rows in {elapsed * 1000.0:.3f}ms --",
         ]
@@ -949,19 +894,13 @@ class PermDatabase:
     def _prepare_select(self, stmt: ast.SelectNode) -> PreparedQuery:
         start = time.perf_counter()
         query, rewrite_seconds = self._analyze_and_rewrite(stmt)
-        plan = make_planner(
-            self.catalog,
-            cost_based=self._cost_based,
-            vectorize=self._vectorize,
-            fuse_pipelines=self._fuse_pipelines,
-        ).plan(query)
+        plan = make_planner(self.catalog, cost_based=self._cost_based).plan(query)
         compile_seconds = time.perf_counter() - start
         return PreparedQuery(
             plan=plan,
             query=query,
             compile_seconds=compile_seconds,
             rewrite_seconds=rewrite_seconds,
-            vectorize=self._vectorize,
         )
 
     def _run_select(self, stmt: ast.SelectNode) -> tuple[Query, QueryResult]:
@@ -1052,13 +991,18 @@ class PermDatabase:
         else:
             indexes = list(range(len(table.schema.columns)))
         width = len(table.schema.columns)
+        # Text bound for a DATE column (``'1997-01-01'``) is parsed, so
+        # the heap never holds a str where comparisons expect a date.
+        columns = table.schema.columns
+        date_columns = [i for i in indexes if columns[i].type is SQLType.DATE]
 
         if stmt.query is not None:
             source_rows = self._run_select(stmt.query)[1].rows
         else:
             source_rows = [self._eval_values_row(row) for row in stmt.values]
 
-        inserted = 0
+        # Every row is checked before the first one lands, so a rejected
+        # statement leaves the table untouched.
         full_rows: list[tuple] = []
         for values in source_rows:
             if len(values) != len(indexes):
@@ -1069,9 +1013,18 @@ class PermDatabase:
             row: list[Any] = [None] * width
             for index, value in zip(indexes, values):
                 row[index] = value
-            table.insert(row)
+            for index in date_columns:
+                text = row[index]
+                if isinstance(text, str):
+                    try:
+                        row[index] = parse_date(text)
+                    except ValueError:
+                        raise TypeMismatchError(
+                            f"INSERT INTO {table.name}: column "
+                            f"{columns[index].name!r} is DATE, got {text!r}"
+                        ) from None
             full_rows.append(tuple(row))
-            inserted += 1
+        inserted = table.insert_many(full_rows)
         if inserted:
             table.record_delta("INSERT", inserted=full_rows)
         return QueryResult(columns=[], rows=[], command=f"INSERT {inserted}")
@@ -1226,9 +1179,7 @@ def connect(
     provenance_module_enabled: bool = True,
     backend: "BackendSpec" = "python",
     optimize: bool = True,
-    vectorize: bool = True,
     cost_based: bool = True,
-    fuse_pipelines: bool = True,
     parallel_workers: int = 1,
     parallel_executor: str = "thread",
     shards: Optional[int] = None,
@@ -1243,15 +1194,11 @@ def connect(
     ``optimize=False`` disables the logical optimizer (the rewritten
     query tree is planned/deparsed verbatim) — the paper's "no DBMS
     optimization phase" configuration, kept for benchmarks and tests.
-    ``vectorize=False`` runs the Python engine tuple-at-a-time instead
-    of batch-at-a-time (the pre-vectorization physical layer, kept
-    differentially testable).  ``cost_based=False`` plans with the
-    legacy heuristic join ordering instead of the statistics-driven
-    cost model (the planner's own differential baseline).
-    ``fuse_pipelines=False`` keeps vectorized scan→filter→project
-    chains as per-operator batch passes instead of collapsing them
-    into single generated kernels (:mod:`repro.executor.fusion`) — the
-    differential oracle for the fused engine.
+    The Python engine always runs batch-at-a-time with scan→filter→
+    project chains fused into generated kernels (``docs/executor.md``).
+    ``cost_based=False`` plans with the legacy heuristic join ordering
+    instead of the statistics-driven cost model (the planner's own
+    differential baseline).
     ``parallel_workers=N`` (N > 1, or ``None`` for one per core) turns
     on morsel-driven parallel execution of eligible scan pipelines;
     the default 1 keeps execution serial.
@@ -1281,9 +1228,7 @@ def connect(
         provenance_module_enabled=provenance_module_enabled,
         backend=backend,
         optimize=optimize,
-        vectorize=vectorize,
         cost_based=cost_based,
-        fuse_pipelines=fuse_pipelines,
         parallel_workers=parallel_workers,
         parallel_executor=parallel_executor,
         shards=shards,

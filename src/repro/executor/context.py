@@ -23,12 +23,10 @@ class ExecContext:
     plan re-runnable: a fresh context sees fresh data, while shared
     subplans still evaluate once *within* an execution.
 
-    ``batch_size`` is the chunk row count for vectorized execution, and
-    ``vectorized`` records which protocol drives this execution so that
-    *subplans* (sublinks) run in the same mode as the main pipeline —
-    float aggregates fold identically on both sides of a comparison
-    (TPC-H Q15's ``total_revenue = (SELECT max(total_revenue) ...)``)
-    only when the folds regroup partial sums the same way.
+    ``batch_size`` is the chunk row count.  Subplans (sublinks) run
+    through the same batch protocol as the main pipeline, so float
+    aggregates fold identically on both sides of a comparison (TPC-H
+    Q15's ``total_revenue = (SELECT max(total_revenue) ...)``).
 
     ``snapshot`` (when set) maps ``Table.uid`` to the ``(epoch,
     row_count)`` visible to this execution: scans clamp to the recorded
@@ -49,7 +47,6 @@ class ExecContext:
         "outer_rows",
         "caches",
         "batch_size",
-        "vectorized",
         "snapshot",
         "morsel",
         "deadline",
@@ -58,14 +55,14 @@ class ExecContext:
     def __init__(
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        vectorized: bool = False,
+        vectorized: bool = True,
         snapshot: Optional[dict[int, tuple[int, int]]] = None,
         deadline: Optional[float] = None,
     ) -> None:
+        # ``vectorized`` is accepted and ignored: there is one protocol.
         self.outer_rows: list[tuple] = []
         self.caches: dict[Any, Any] = {}
         self.batch_size = batch_size
-        self.vectorized = vectorized
         self.snapshot = snapshot
         self.morsel: Optional[tuple[int, int]] = None
         self.deadline = deadline
@@ -117,7 +114,6 @@ class ExecContext:
         """
         clone = ExecContext(
             batch_size=self.batch_size,
-            vectorized=True,
             snapshot=self.snapshot,
             deadline=self.deadline,
         )

@@ -17,10 +17,11 @@ Design points:
   re-execute per row with the row pushed onto the context's outer stack.
 * LIKE patterns that are constants are compiled to regexes once.
 
-Batch mode (:meth:`ExprCompiler.compile_batch`) compiles the same
-expressions to *column-wise* kernels ``fn(chunk, ctx) -> list`` over
-:class:`~repro.storage.chunk.Chunk` inputs; see the section at the bottom
-of this module.
+Plan nodes execute the *column-wise* kernels ``fn(chunk, ctx) -> list``
+of :meth:`ExprCompiler.compile_batch` over
+:class:`~repro.storage.chunk.Chunk` inputs (see the section at the bottom
+of this module); the row closures serve the projection's row-backed
+emitter, per-row kernel fallbacks and constant evaluation.
 """
 
 from __future__ import annotations
@@ -365,9 +366,9 @@ class ExprCompiler:
         self.varmap = varmap
         self.outer_varmaps = list(outer_varmaps)
         self.plan_subquery = plan_subquery
-        # Row closures memoized per expression node: the planner compiles
-        # most expressions twice under vectorize (row form + batch form,
-        # whose fallbacks wrap the row closure), and re-compiling a
+        # Row closures memoized per expression node: a projection's row
+        # emitter and its batch kernels (whose per-row fallbacks wrap the
+        # row closure) compile the same expressions, and re-compiling a
         # SubLink would plan its subquery again.
         self._row_memo: dict[int, tuple[ex.Expr, CompiledExpr]] = {}
         # Sublink subplans memoized the same way: the row closure and the
@@ -626,9 +627,7 @@ class ExprCompiler:
 
     @staticmethod
     def _run_subplan(subplan, ctx, row, correlated: bool) -> list[tuple]:
-        # Subplans execute in the same protocol as the main pipeline so
-        # that order-of-fold-sensitive results (float sums) agree with
-        # the enclosing query's own computation of the same aggregate.
+        # Resolved at call time: callers may wrap ``run_plan_rows``.
         from repro.executor.nodes import run_plan_rows
 
         if correlated:
@@ -668,9 +667,7 @@ class ExprCompiler:
         key = object()
 
         def _probe(ctx) -> bool:
-            if ctx.vectorized:
-                return next(iter(subplan.run_batches(ctx)), None) is not None
-            return next(iter(subplan.run(ctx)), None) is not None
+            return any(len(chunk) for chunk in subplan.run_batches(ctx))
 
         def _exists(row, ctx):
             if correlated:

@@ -49,9 +49,7 @@ original analyzed expressions plus the variable layout; see
 expression compiles through :class:`_SourceEmitter`.  Anything the
 emitter cannot express — sublinks, correlated outer references, dynamic
 LIKE patterns, non-constant IN lists — raises :class:`NotFusible` and
-the chain simply keeps its unfused operators.  ``run()`` (the row
-protocol) always delegates to the original chain, so fused plans keep
-an exact row-mode fallback.
+the chain simply keeps its unfused operators.
 """
 
 from __future__ import annotations
@@ -322,8 +320,9 @@ class FusedPipelineNode(PlanNode):
 
     ``child`` is a bare clone of the chain's scan (no predicates) so
     chunks arrive unfiltered and uninstrumented passes see honest scan
-    cardinalities; ``fallback`` is the original operator chain, kept for
-    the row protocol (and as the audit trail of what was fused).
+    cardinalities.  ``fallback`` is the original operator chain; no plan
+    executes it — its one use is as the reference the fusion tests run
+    each generated kernel against.
     """
 
     def __init__(
@@ -353,9 +352,6 @@ class FusedPipelineNode(PlanNode):
             f"{len(self.output_names)} cols]"
         )
 
-    def run(self, ctx):
-        return self.fallback.run(ctx)
-
     def run_batches(self, ctx):
         kernel = self.kernel
         width = len(self.output_names)
@@ -384,16 +380,14 @@ def _try_fuse(root: PlanNode) -> Optional[FusedPipelineNode]:
     zero-copy column paths, which fusion could only make worse.
     """
     if isinstance(root, ProjectNode):
-        if root.fusion is None or root.batch_exprs is None:
+        if root.fusion is None:
             return None
     elif not isinstance(root, SliceNode):
         return None
     mids: list[PlanNode] = []
     current = root.child
     while isinstance(current, (FilterNode, SliceNode)):
-        if isinstance(current, FilterNode) and (
-            current.fusion is None or current.batch_predicates is None
-        ):
+        if isinstance(current, FilterNode) and current.fusion is None:
             return None
         mids.append(current)
         current = current.child
@@ -401,8 +395,8 @@ def _try_fuse(root: PlanNode) -> Optional[FusedPipelineNode]:
         return None
     scan = current
     scan_conjuncts: list[ex.Expr] = []
-    if scan.predicate is not None:
-        if scan.fusion is None or scan.batch_predicates is None:
+    if scan.predicates:
+        if scan.fusion is None:
             return None
         scan_conjuncts = scan.fusion[1]
     n_predicates = len(scan_conjuncts) + sum(

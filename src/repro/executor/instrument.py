@@ -1,8 +1,8 @@
 """EXPLAIN ANALYZE support: per-node runtime statistics.
 
-:func:`instrument_plan` wraps every node's ``run``/``run_batches`` with
-counting shims (instance attributes shadow the class methods, so inner
-nodes calling ``self.child.run(...)`` hit the shims too).  After the
+:func:`instrument_plan` wraps every node's ``run_batches`` with a
+counting shim (an instance attribute shadows the class method, so inner
+nodes calling ``self.child.run_batches(...)`` hit the shims too).  After the
 plan is drained, :func:`format_plan_with_stats` renders the usual
 EXPLAIN tree annotated with actual row counts, batch counts, wall time,
 and loop counts.
@@ -90,23 +90,8 @@ def _walk(node: PlanNode):
 
 def _wrap_node(node: PlanNode) -> NodeStats:
     stats = NodeStats()
-    original_run = node.run
     original_batches = node.run_batches
     clock = time.perf_counter
-
-    def run(ctx):
-        stats.loops += 1
-        iterator = iter(original_run(ctx))
-        while True:
-            started = clock()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.seconds += clock() - started
-                return
-            stats.seconds += clock() - started
-            stats.rows += 1
-            yield row
 
     def run_batches(ctx):
         stats.loops += 1
@@ -123,7 +108,6 @@ def _wrap_node(node: PlanNode) -> NodeStats:
             stats.rows += len(chunk)
             yield chunk
 
-    node.run = run  # type: ignore[method-assign]
     node.run_batches = run_batches  # type: ignore[method-assign]
     return stats
 

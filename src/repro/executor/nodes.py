@@ -1,16 +1,10 @@
 """Physical plan nodes.
 
-Each node implements two execution protocols over the same plan tree:
-
-* ``run(ctx) -> Iterator[tuple]`` — the original volcano-style row
-  engine (with materialization where the algorithm requires it: hash
-  builds, sorts, aggregation);
-* ``run_batches(ctx) -> Iterator[Chunk]`` — vectorized batch-at-a-time
-  execution over columnar :class:`~repro.storage.chunk.Chunk` inputs.
-  Nodes the planner equipped with batch kernels (``batch_*``
-  attributes) execute column-wise; nodes without them fall back to the
-  base-class bridge, which runs the row protocol for that subtree and
-  re-chunks its output — so batch and row subtrees compose freely.
+Every node executes batch-at-a-time: ``run_batches(ctx) ->
+Iterator[Chunk]`` pulls columnar :class:`~repro.storage.chunk.Chunk`
+inputs through the batch kernels the planner attached (``predicates``,
+``kernels``, ``left_keys`` ...).  ``run(ctx)`` is a thin row adapter over
+it for callers that want tuples; the engine itself never calls it.
 
 Nodes carry ``output_names`` for EXPLAIN and result schema construction,
 and an ``estimate`` used by the planner's greedy join ordering.
@@ -26,7 +20,7 @@ Join semantics notes:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.errors import ExecutionError
@@ -36,22 +30,20 @@ from repro.storage.chunk import Chunk, chunk_rows
 from repro.storage.table import Table
 
 Row = tuple
-Predicate = Callable[[Row, ExecContext], Any]
+#: Row closure: one row in, one value out (ProjectNode's row emitter).
 Scalar = Callable[[Row, ExecContext], Any]
 #: Batch kernel: one Chunk in, one output column (list) out.
 BatchExpr = Callable[[Chunk, ExecContext], list]
 
 
 def run_plan_rows(plan: "PlanNode", ctx: ExecContext) -> list[Row]:
-    """Execute a plan in the context's protocol and return its rows.
+    """Execute a plan and return its rows.
 
-    The single dispatch point between the two engines: top-level result
-    assembly and subplan execution all flow through here, so the two
-    protocols cannot drift apart call site by call site.
+    Top-level result assembly and every sublink subplan go through here
+    (sublinks resolve the name at call time), so one function owns the
+    drain from chunks to result tuples.
     """
-    if ctx.vectorized:
-        return [row for chunk in plan.run_batches(ctx) for row in chunk.rows()]
-    return list(plan.run(ctx))
+    return [row for chunk in plan.run_batches(ctx) for row in chunk.rows()]
 
 
 def apply_batch_predicates(
@@ -60,9 +52,10 @@ def apply_batch_predicates(
     """Filter a chunk through predicate kernels via selection vectors.
 
     Kernels run in order on the *surviving* rows only (each pass narrows
-    the selection), mirroring the row engine's merged-conjunct
-    short-circuit.  Column-backed chunks are never copied — only index
-    lists; row-backed chunks gather the surviving row tuples directly.
+    the selection), so a conjunct never evaluates on a row an earlier
+    conjunct already rejected.  Column-backed chunks are never copied —
+    only index lists; row-backed chunks gather the surviving row tuples
+    directly.
     """
     for kernel in kernels:
         if len(chunk) == 0:
@@ -83,19 +76,6 @@ def apply_batch_predicates(
     return chunk
 
 
-def make_row_getter(indexes: list[int]) -> Callable[[Row], Row]:
-    """A ``row -> tuple`` rearranger for the given positions (itemgetter
-    with the 0/1-arity cases normalized to always return a tuple)."""
-    if len(indexes) == 1:
-        index = indexes[0]
-        return lambda row: (row[index],)
-    if not indexes:
-        return lambda row: ()
-    import operator
-
-    return operator.itemgetter(*indexes)
-
-
 class PlanNode:
     """Base class for physical plan nodes.
 
@@ -103,8 +83,8 @@ class PlanNode:
     output (statistics-driven under the cost-based planner, magic
     constants under the heuristic one); ``EXPLAIN`` renders it as
     ``est=`` next to actual rows.  ``batch_size_hint`` (set on plan
-    roots by the cost-based planner) bounds the vectorized engine's
-    chunk size by the largest estimated intermediate.
+    roots by the cost-based planner) bounds the chunk size by the
+    largest estimated intermediate.
     """
 
     output_names: list[str]
@@ -117,18 +97,13 @@ class PlanNode:
     #: pipelines where every node keeps the default.
     parallel_safe: bool = True
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:  # pragma: no cover
+    def run(self, ctx: ExecContext) -> Iterator[Row]:
+        """The rows of :meth:`run_batches`, one tuple at a time."""
+        for chunk in self.run_batches(ctx):
+            yield from chunk.rows()
+
+    def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:  # pragma: no cover
         raise NotImplementedError
-
-    def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        """Vectorized execution; the default bridges the row protocol.
-
-        Subtrees without batch kernels (conditional nested-loop joins,
-        plans built with ``vectorize=False``) run row-at-a-time here and
-        are re-chunked, so a batched parent never needs to care which
-        mode its input runs in.
-        """
-        return chunk_rows(self.run(ctx), self.width(), ctx.batch_size)
 
     def children(self) -> list["PlanNode"]:
         return []
@@ -150,34 +125,26 @@ class SeqScan(PlanNode):
 
     ``columns`` (when set) lists the heap attribute numbers to emit, in
     output order — the physical realization of the optimizer's projection
-    pruning.  Predicates always evaluate against the emitted (narrow)
-    row layout.
+    pruning.  ``predicates`` are filter kernels the planner pushed onto
+    the scan, applied in order with selection vectors; they always
+    evaluate against the emitted (narrow) row layout.
     """
 
     #: Planner-attached fusion metadata ``(varmap, [analyzed exprs])``
-    #: for the node's predicates/projections, consumed by
-    #: :mod:`repro.executor.fusion`; None = not fusible (no metadata, or
-    #: a conjunct without a batch form poisoned it).
+    #: parallel to ``predicates``, consumed by :mod:`repro.executor.fusion`.
     fusion = None
 
     def __init__(
         self,
         table: Table,
         output_names: list[str],
-        predicate: Optional[Predicate] = None,
         columns: Optional[list[int]] = None,
-        batch_predicates: Optional[list[BatchExpr]] = None,
     ) -> None:
         self.table = table
         self.output_names = output_names
-        self.predicate = predicate
         self.columns = columns
-        # Batch-mode filter kernels, applied in order with selection
-        # vectors.  None (as opposed to []) means "no batch form": the
-        # scan falls back to the row bridge when a predicate exists.
-        self.batch_predicates = batch_predicates
-        rows = table.row_count()
-        self.estimate = max(rows * (0.25 if predicate else 1.0), 1.0)
+        self.predicates: list[BatchExpr] = []
+        self.estimate = float(max(table.row_count(), 1))
 
     def _bounds(self, ctx: ExecContext) -> tuple[int, int]:
         """The physical row range this execution may read: the morsel
@@ -194,35 +161,8 @@ class SeqScan(PlanNode):
             stop = min(stop, morsel_stop)
         return start, max(start, stop)
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        rows = self.table.raw_rows()
-        if ctx.snapshot is not None or ctx.morsel is not None:
-            start, stop = self._bounds(ctx)
-            rows = rows[start:stop]
-        predicate = self.predicate
-        if self.columns is None:
-            if predicate is None:
-                yield from rows
-            else:
-                for row in rows:
-                    if predicate(row, ctx) is True:
-                        yield row
-            return
-        getter = make_row_getter(self.columns)
-        if predicate is None:
-            for row in rows:
-                yield getter(row)
-        else:
-            for row in rows:
-                narrow = getter(row)
-                if predicate(narrow, ctx) is True:
-                    yield narrow
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        if self.predicate is not None and self.batch_predicates is None:
-            yield from PlanNode.run_batches(self, ctx)
-            return
-        kernels = self.batch_predicates
+        kernels = self.predicates
         start, stop = 0, None
         if ctx.snapshot is not None or ctx.morsel is not None:
             start, stop = self._bounds(ctx)
@@ -239,7 +179,7 @@ class SeqScan(PlanNode):
             yield chunk
 
     def label(self) -> str:
-        suffix = " (filtered)" if self.predicate else ""
+        suffix = " (filtered)" if self.predicates else ""
         if self.columns is not None:
             suffix += f" [{len(self.columns)} cols]"
         return f"SeqScan on {self.table.name}{suffix}"
@@ -251,9 +191,6 @@ class OneRow(PlanNode):
     def __init__(self) -> None:
         self.output_names = []
         self.estimate = 1.0
-
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        yield ()
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         yield Chunk(nrows=1, width=0, rows=[()])
@@ -267,44 +204,28 @@ class ValuesNode(PlanNode):
         self.output_names = output_names
         self.estimate = max(len(rows), 1)
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        yield from self.rows
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         if self.rows:
             yield Chunk.from_rows(list(self.rows), self.width())
 
 
 class FilterNode(PlanNode):
+    """Keeps the rows for which every predicate kernel returns True."""
+
     #: Fusion metadata; see :class:`SeqScan`.
     fusion = None
 
-    def __init__(
-        self,
-        child: PlanNode,
-        predicate: Predicate,
-        batch_predicates: Optional[list[BatchExpr]] = None,
-    ) -> None:
+    def __init__(self, child: PlanNode, predicates: list[BatchExpr]) -> None:
         self.child = child
-        self.predicate = predicate
-        self.batch_predicates = batch_predicates
+        self.predicates = predicates
         self.output_names = list(child.output_names)
         self.estimate = max(child.estimate * 0.25, 1.0)
 
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.run(ctx):
-            if predicate(row, ctx) is True:
-                yield row
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        kernels = self.batch_predicates
-        if kernels is None:
-            yield from PlanNode.run_batches(self, ctx)
-            return
+        kernels = self.predicates
         for chunk in self.child.run_batches(ctx):
             chunk = apply_batch_predicates(chunk, kernels, ctx)
             if len(chunk):
@@ -314,10 +235,13 @@ class FilterNode(PlanNode):
 class ProjectNode(PlanNode):
     """Expression projection.
 
-    ``slots`` (optional, parallel to ``exprs``) marks positions that are
-    plain input-slot reads; the per-row emitter is code-generated into a
-    single lambda with slot reads inlined, so a wide provenance target
-    list costs one call per row instead of one per column.
+    ``slots`` (parallel to ``kernels``) marks positions that are plain
+    input-slot reads: over column-backed input those columns pass
+    through untouched and every other position runs its batch kernel.
+    Row-backed input (join output) instead goes through one generated
+    per-row emitter with the slot reads inlined and the row closures in
+    ``exprs`` (None at slot positions) called for the rest — one call
+    per row is cheaper than extracting every slot-read column.
     """
 
     #: Fusion metadata; see :class:`SeqScan`.
@@ -326,26 +250,23 @@ class ProjectNode(PlanNode):
     def __init__(
         self,
         child: PlanNode,
-        exprs: list[Scalar],
         output_names: list[str],
-        slots: Optional[list[Optional[int]]] = None,
-        batch_exprs: Optional[list[Optional[BatchExpr]]] = None,
+        slots: list[Optional[int]],
+        kernels: list[Optional[BatchExpr]],
+        exprs: list[Optional[Scalar]],
     ) -> None:
         self.child = child
-        self.exprs = exprs
         self.output_names = output_names
         self.slots = slots
-        # Batch kernels parallel to ``exprs``; positions covered by a
-        # slot read may be None (the column passes through untouched).
-        self.batch_exprs = batch_exprs
+        self.kernels = kernels
+        self.exprs = exprs
         self.estimate = child.estimate
         self._emit = self._build_emitter()
 
     def _build_emitter(self):
-        slots = self.slots if self.slots is not None else [None] * len(self.exprs)
         parts: list[str] = []
         env: dict[str, Any] = {}
-        for index, (fn, slot) in enumerate(zip(self.exprs, slots)):
+        for index, (fn, slot) in enumerate(zip(self.exprs, self.slots)):
             if slot is not None:
                 parts.append(f"row[{int(slot)}]")
             else:
@@ -359,42 +280,29 @@ class ProjectNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        emit = self._emit
-        for row in self.child.run(ctx):
-            yield emit(row, ctx)
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        if self.batch_exprs is None:
-            yield from PlanNode.run_batches(self, ctx)
-            return
-        slots = self.slots if self.slots is not None else [None] * len(self.exprs)
-        pairs = list(zip(self.batch_exprs, slots))
+        pairs = list(zip(self.kernels, self.slots))
+        width = len(pairs)
         emit = self._emit
         for chunk in self.child.run_batches(ctx):
-            n = len(chunk)
             if chunk.is_row_backed():
-                # Row-backed input (join output): the generated row
-                # emitter costs one call per row, cheaper than
-                # extracting every slot-read column separately.
-                yield Chunk.from_rows(
-                    [emit(row, ctx) for row in chunk.rows()], len(pairs)
-                )
+                yield Chunk.from_rows([emit(row, ctx) for row in chunk.rows()], width)
                 continue
             columns = [
                 chunk.column(slot) if slot is not None else kernel(chunk, ctx)
                 for kernel, slot in pairs
             ]
-            yield Chunk(columns=columns, nrows=n, width=len(pairs))
+            yield Chunk(columns=columns, nrows=len(chunk), width=width)
 
 
 class SliceNode(PlanNode):
     """Re-emits a positional selection of columns (any order, duplicates
     allowed): junk-column removal and Var-only projections.
 
-    Unlike :class:`ProjectNode` this evaluates no expressions — the row is
-    rearranged with a C-level ``itemgetter``, which is what makes the
-    optimizer's pulled-up trees cheap (their projections are plain column
+    Unlike :class:`ProjectNode` this evaluates no expressions — a
+    column-backed chunk is rearranged by reference, a row-backed one with
+    a C-level ``itemgetter``, which is what makes the optimizer's
+    pulled-up trees cheap (their projections are plain column
     references).
     """
 
@@ -407,16 +315,9 @@ class SliceNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        getter = make_row_getter(self.keep)
-        for row in self.child.run(ctx):
-            yield getter(row)
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         keep = self.keep
         for chunk in self.child.run_batches(ctx):
-            # Column-backed chunks rearrange by reference (zero copy);
-            # row-backed ones fall back to the itemgetter path.
             yield chunk.project(keep)
 
 
@@ -428,14 +329,12 @@ class NestedLoopJoin(PlanNode):
         left: PlanNode,
         right: PlanNode,
         join_type: str,
-        condition: Optional[Predicate],
-        batch_condition: Optional[BatchExpr] = None,
+        condition: Optional[BatchExpr],
     ) -> None:
         self.left = left
         self.right = right
         self.join_type = join_type
         self.condition = condition
-        self.batch_condition = batch_condition
         self.output_names = list(left.output_names) + list(right.output_names)
         selectivity = 0.1 if condition else 1.0
         self.estimate = max(left.estimate * right.estimate * selectivity, 1.0)
@@ -446,58 +345,16 @@ class NestedLoopJoin(PlanNode):
     def label(self) -> str:
         return f"NestedLoopJoin ({self.join_type})"
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        right_rows = list(self.right.run(ctx))
-        condition = self.condition
-        join_type = self.join_type
-        left_width = self.left.width()
-        right_width = self.right.width()
-        null_left = (None,) * left_width
-        null_right = (None,) * right_width
-
-        if condition is None and join_type in ("inner", "left", "cross"):
-            # Unconditional cross product (the shape the provenance
-            # rewrite's scalar-sublink joins fold to): no per-pair checks.
-            if right_rows:
-                for left_row in self.left.run(ctx):
-                    for right_row in right_rows:
-                        yield left_row + right_row
-            elif join_type == "left":
-                for left_row in self.left.run(ctx):
-                    yield left_row + null_right
-            return
-
-        right_matched = [False] * len(right_rows) if join_type in ("right", "full") else None
-
-        deadline = ctx.deadline
-        for left_row in self.left.run(ctx):
-            if deadline is not None:
-                ctx.check_deadline()
-            matched = False
-            for i, right_row in enumerate(right_rows):
-                combined = left_row + right_row
-                if condition is None or condition(combined, ctx) is True:
-                    matched = True
-                    if right_matched is not None:
-                        right_matched[i] = True
-                    yield combined
-            if not matched and join_type in ("left", "full"):
-                yield left_row + null_right
-        if right_matched is not None:
-            for i, right_row in enumerate(right_rows):
-                if not right_matched[i]:
-                    yield null_left + right_row
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         """Batch nested loop.
 
         The unconditional inner/left/cross shapes build output *columns*
         directly (repeat/tile gathers, zero row materialization — the
         provenance rewrite's scalar-aggregate joins are the single-right-
-        row case).  Conditional loops stream left chunks but check pairs
-        with the row-mode condition closure, which is evaluated per pair
-        either way; children stay vectorized, keeping fold-sensitive
-        float aggregates consistent across the plan.
+        row case).  Every other shape streams left rows in blocks sized
+        so one block's candidate cross product fits a batch, evaluates
+        the condition kernel once per block, and reconciles the verdicts
+        into matched flags for outer-join null extension.
         """
         condition = self.condition
         join_type = self.join_type
@@ -545,13 +402,8 @@ class NestedLoopJoin(PlanNode):
             bytearray(len(right_rows)) if join_type in ("right", "full") else None
         )
         preserve_left = join_type in ("left", "full")
-        batch_condition = self.batch_condition
         count = len(right_rows)
-        # Left rows are processed in blocks sized so that one candidate
-        # cross product fits a batch; the condition then evaluates as
-        # one vectorized kernel call per block instead of one closure
-        # call per pair.
-        step = max(1, ctx.batch_size // count) if count else 1
+        step = max(1, ctx.batch_size // max(count, 1))
         deadline = ctx.deadline
         for chunk in self.left.run_batches(ctx):
             left_rows = chunk.rows()
@@ -561,36 +413,24 @@ class NestedLoopJoin(PlanNode):
                 if deadline is not None:
                     ctx.check_deadline()
                 block = left_rows[start : start + step]
-                if batch_condition is not None and condition is not None and count:
-                    pairs = [
-                        left_row + right_row
-                        for left_row in block
-                        for right_row in right_rows
-                    ]
-                    verdicts = batch_condition(
-                        Chunk.from_rows(pairs, width), ctx
-                    )
-                    for offset, left_row in enumerate(block):
-                        base = offset * count
-                        matched = False
-                        for index in range(count):
-                            if verdicts[base + index] is True:
-                                matched = True
-                                if right_matched is not None:
-                                    right_matched[index] = 1
-                                append(pairs[base + index])
-                        if not matched and preserve_left:
-                            append(left_row + null_right)
-                    continue
-                for left_row in block:
+                pairs = [
+                    left_row + right_row
+                    for left_row in block
+                    for right_row in right_rows
+                ]
+                if condition is not None and pairs:
+                    verdicts = condition(Chunk.from_rows(pairs, width), ctx)
+                else:
+                    verdicts = [True] * len(pairs)
+                for offset, left_row in enumerate(block):
+                    base = offset * count
                     matched = False
-                    for index, right_row in enumerate(right_rows):
-                        combined = left_row + right_row
-                        if condition is None or condition(combined, ctx) is True:
+                    for index in range(count):
+                        if verdicts[base + index] is True:
                             matched = True
                             if right_matched is not None:
                                 right_matched[index] = 1
-                            append(combined)
+                            append(pairs[base + index])
                     if not matched and preserve_left:
                         append(left_row + null_right)
             if out:
@@ -673,13 +513,14 @@ class HashJoin(PlanNode):
     NULL with NULL.  Unmatched rows are preserved for outer-join null
     extension either way.
 
+    ``left_keys`` / ``right_keys`` are key kernels over each input's
+    chunks; ``residual`` (optional) is a kernel over the combined row.
     ``left_key_slots`` / ``right_key_slots`` (set by the planner when
     every key is a plain column reference) record which input slots the
-    key closures read, enabling slice pushdown to remap keys onto
-    narrowed inputs.  ``columnar_output`` switches the batch inner-join
-    fast path from row concatenation to per-column gathers — chosen by
-    the cost-based planner for narrow outputs feeding columnar
-    consumers.
+    keys read, enabling slice pushdown to remap keys onto narrowed
+    inputs.  ``columnar_output`` switches the inner-join fast path from
+    row concatenation to per-column gathers — chosen by the cost-based
+    planner for narrow outputs feeding columnar consumers.
     """
 
     left_key_slots: Optional[list[int]] = None
@@ -691,13 +532,10 @@ class HashJoin(PlanNode):
         left: PlanNode,
         right: PlanNode,
         join_type: str,
-        left_keys: list[Scalar],
-        right_keys: list[Scalar],
-        residual: Optional[Predicate] = None,
+        left_keys: list[BatchExpr],
+        right_keys: list[BatchExpr],
+        residual: Optional[BatchExpr] = None,
         null_safe: Optional[list[bool]] = None,
-        batch_left_keys: Optional[list[BatchExpr]] = None,
-        batch_right_keys: Optional[list[BatchExpr]] = None,
-        batch_residual: Optional[BatchExpr] = None,
     ) -> None:
         if not left_keys or len(left_keys) != len(right_keys):
             raise ExecutionError("hash join requires matching key lists")
@@ -708,9 +546,6 @@ class HashJoin(PlanNode):
         self.right_keys = right_keys
         self.residual = residual
         self.null_safe = null_safe or [False] * len(left_keys)
-        self.batch_left_keys = batch_left_keys
-        self.batch_right_keys = batch_right_keys
-        self.batch_residual = batch_residual
         self.output_names = list(left.output_names) + list(right.output_names)
         self.estimate = max(left.estimate, right.estimate)
 
@@ -720,96 +555,15 @@ class HashJoin(PlanNode):
     def label(self) -> str:
         return f"HashJoin ({self.join_type}, {len(self.left_keys)} keys)"
 
-    def _key_builder(self, fns: list[Scalar]):
-        """A specialized ``row, ctx -> key | None`` closure.
-
-        Returns None when a non-null-safe key column is NULL (such rows
-        can never match).  Specialized per arity/null-safety because key
-        construction runs once per input row on both join sides.
-        """
-        null_safe = self.null_safe
-        if len(fns) == 1:
-            fn = fns[0]
-            if null_safe[0]:
-
-                def build_one_safe(row: Row, ctx: ExecContext):
-                    value = fn(row, ctx)
-                    return (NULL_KEY,) if value is None else (value,)
-
-                return build_one_safe
-
-            def build_one(row: Row, ctx: ExecContext):
-                value = fn(row, ctx)
-                return None if value is None else (value,)
-
-            return build_one
-        pairs = list(zip(fns, null_safe))
-
-        def build_many(row: Row, ctx: ExecContext) -> Optional[tuple]:
-            values = []
-            for fn, safe in pairs:
-                value = fn(row, ctx)
-                if value is None:
-                    if not safe:
-                        return None
-                    value = NULL_KEY
-                values.append(value)
-            return tuple(values)
-
-        return build_many
-
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        join_type = self.join_type
-        residual = self.residual
-        null_left = (None,) * self.left.width()
-        null_right = (None,) * self.right.width()
-        build_key = self._key_builder(self.right_keys)
-        probe_key = self._key_builder(self.left_keys)
-
-        build: dict[tuple, list[tuple[int, Row]]] = defaultdict(list)
-        right_rows: list[Row] = []
-        for row in self.right.run(ctx):
-            index = len(right_rows)
-            right_rows.append(row)
-            key = build_key(row, ctx)
-            if key is not None:
-                build[key].append((index, row))
-        right_matched = (
-            [False] * len(right_rows) if join_type in ("right", "full") else None
-        )
-        build_get = build.get
-        preserve_left = join_type in ("left", "full")
-
-        for left_row in self.left.run(ctx):
-            key = probe_key(left_row, ctx)
-            matched = False
-            if key is not None:
-                bucket = build_get(key)
-                if bucket is not None:
-                    for index, right_row in bucket:
-                        combined = left_row + right_row
-                        if residual is None or residual(combined, ctx) is True:
-                            matched = True
-                            if right_matched is not None:
-                                right_matched[index] = True
-                            yield combined
-            if not matched and preserve_left:
-                yield left_row + null_right
-        if right_matched is not None:
-            for index, right_row in enumerate(right_rows):
-                if not right_matched[index]:
-                    yield null_left + right_row
-
-    # -- batch protocol -----------------------------------------------------
-
-    def _batch_key_rows(self, key_columns: list[list]) -> list:
-        """Per-row hash keys from key columns (None = can never match).
+    def _key_rows(self, kernels: list[BatchExpr], chunk: Chunk, ctx: ExecContext) -> list:
+        """Per-row hash keys of a chunk (None = can never match).
 
         Single-column keys stay *raw values* (no tuple wrapping): NULL
         maps to None (never matches) or, for null-safe keys, to the
         NULL_KEY sentinel (NULL matches NULL).  Multi-column keys are
         tuples with the same per-column treatment.
         """
+        key_columns = [kernel(chunk, ctx) for kernel in kernels]
         null_safe = self.null_safe
         if len(key_columns) == 1:
             column = key_columns[0]
@@ -837,25 +591,19 @@ class HashJoin(PlanNode):
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         """Batch hash join, hybrid row/column.
 
-        Keys are computed *column-wise* (the batch kernels) and the
-        probe is a handful of C-level comprehensions over the key
-        column; output rows are assembled with one tuple concatenation
-        per match — for the wide rows of provenance joins, a single
-        C memcpy beats per-column gathers.  The output chunk is
-        row-backed; downstream kernels extract just the columns they
-        touch.  Residual conditions on inner joins vectorize as a
-        filter over the candidate pairs; residual outer joins keep the
-        per-pair check (the verdict drives null extension).
+        Keys are computed *column-wise* (the key kernels) and the probe
+        is a handful of C-level comprehensions over the key column;
+        output rows are assembled with one tuple concatenation per match
+        — for the wide rows of provenance joins, a single C memcpy beats
+        per-column gathers.  The output chunk is row-backed; downstream
+        kernels extract just the columns they touch.  A residual on an
+        inner join is a plain filter over the candidate pairs; residual
+        outer joins take :meth:`_run_batches_residual`.
         """
-        if self.batch_left_keys is None or self.batch_right_keys is None:
-            yield from PlanNode.run_batches(self, ctx)
-            return
-        if self.residual is not None and (
-            self.join_type != "inner" or self.batch_residual is None
-        ):
+        if self.residual is not None and self.join_type != "inner":
             yield from self._run_batches_residual(ctx)
             return
-        residual_kernel = self.batch_residual if self.residual is not None else None
+        residual = self.residual
         join_type = self.join_type
         width = self.width()
         null_left = (None,) * self.left.width()
@@ -868,16 +616,14 @@ class HashJoin(PlanNode):
         right_columns: Optional[list[list]] = None
         if (
             self.columnar_output
-            and residual_kernel is None
+            and residual is None
             and join_type == "inner"
             and right_rows
         ):
             right_columns = [list(column) for column in zip(*right_rows)]
 
         for chunk in self.left.run_batches(ctx):
-            keys = self._batch_key_rows(
-                [kernel(chunk, ctx) for kernel in self.batch_left_keys]
-            )
+            keys = self._key_rows(self.left_keys, chunk, ctx)
             if right_columns is not None and not chunk.is_row_backed():
                 # Columnar output (narrow joins feeding columnar
                 # consumers): gather each surviving column once instead
@@ -936,10 +682,8 @@ class HashJoin(PlanNode):
             if not out:
                 continue
             result = Chunk.from_rows(out, width)
-            if residual_kernel is not None:
-                # Inner join: the residual is a plain filter over the
-                # candidate pairs, so it vectorizes like any predicate.
-                result = apply_batch_predicates(result, (residual_kernel,), ctx)
+            if residual is not None:
+                result = apply_batch_predicates(result, (residual,), ctx)
                 if len(result) == 0:
                     continue
             yield result
@@ -957,7 +701,7 @@ class HashJoin(PlanNode):
     ) -> tuple[dict, list[Row], Optional[bytearray]]:
         """Spool the right input as rows, hashing the key columns.
 
-        Shared by the residual and no-residual batch paths: returns the
+        Shared by the residual and no-residual paths: returns the
         ``key -> [row index]`` build table, the spooled rows, and the
         matched-flag array for right/full outer joins.
         """
@@ -965,9 +709,7 @@ class HashJoin(PlanNode):
         build_setdefault = build.setdefault
         right_rows: list[Row] = []
         for chunk in self.right.run_batches(ctx):
-            keys = self._batch_key_rows(
-                [kernel(chunk, ctx) for kernel in self.batch_right_keys]
-            )
+            keys = self._key_rows(self.right_keys, chunk, ctx)
             base = len(right_rows)
             right_rows.extend(chunk.rows())
             for offset, key in enumerate(keys):
@@ -981,21 +723,18 @@ class HashJoin(PlanNode):
         return build, right_rows, right_matched
 
     def _run_batches_residual(self, ctx: ExecContext) -> Iterator[Chunk]:
-        """Residual outer joins (and residuals without a batch form).
+        """Residual outer joins: two-phase filter-then-reconcile.
 
-        With a batch-form residual the per-chunk work is two-phase
-        filter-then-reconcile: every candidate (probe row × bucket
-        entry) pair is gathered into ONE combined chunk, the residual
-        kernel runs once over it, and the verdicts are reconciled back
-        into per-probe matched flags (driving LEFT/FULL null extension)
-        and build-side matched flags (RIGHT/FULL).  Candidate building
-        and the surviving-pair gather are C-level comprehensions; only
-        the flag updates loop in Python.  A row-only residual keeps the
-        per-pair closure loop.
+        Every candidate (probe row × bucket entry) pair of a chunk is
+        gathered into ONE combined chunk, the residual kernel runs once
+        over it, and the verdicts are reconciled back into per-probe
+        matched flags (driving LEFT/FULL null extension) and build-side
+        matched flags (RIGHT/FULL).  Candidate building and the
+        surviving-pair gather are C-level comprehensions; only the flag
+        updates loop in Python.
         """
         join_type = self.join_type
         residual = self.residual
-        residual_kernel = self.batch_residual
         width = self.width()
         null_left = (None,) * self.left.width()
         null_right = (None,) * self.right.width()
@@ -1006,84 +745,59 @@ class HashJoin(PlanNode):
         preserve_left = join_type in ("left", "full")
 
         for chunk in self.left.run_batches(ctx):
-            keys = self._batch_key_rows(
-                [kernel(chunk, ctx) for kernel in self.batch_left_keys]
-            )
+            keys = self._key_rows(self.left_keys, chunk, ctx)
             left_rows = chunk.rows()
-            if residual_kernel is not None:
-                buckets = [
-                    build_get(key) if key is not None else None
-                    for key in keys
-                ]
-                left_gather = [
-                    left_rows[position]
-                    for position, bucket in enumerate(buckets)
-                    if bucket is not None
-                    for _ in bucket
-                ]
-                right_gather = [
-                    right_rows[index]
-                    for bucket in buckets
-                    if bucket is not None
-                    for index in bucket
-                ]
-                verdicts = (
-                    residual_kernel(
-                        _PairChunk(
-                            left_gather, right_gather, len(null_left), width
-                        ),
-                        ctx,
-                    )
-                    if left_gather
-                    else []
+            buckets = [
+                build_get(key) if key is not None else None for key in keys
+            ]
+            left_gather = [
+                left_rows[position]
+                for position, bucket in enumerate(buckets)
+                if bucket is not None
+                for _ in bucket
+            ]
+            right_gather = [
+                right_rows[index]
+                for bucket in buckets
+                if bucket is not None
+                for index in bucket
+            ]
+            verdicts = (
+                residual(
+                    _PairChunk(left_gather, right_gather, len(null_left), width),
+                    ctx,
                 )
-                out = [
-                    left + right
-                    for left, right, verdict in zip(
-                        left_gather, right_gather, verdicts
-                    )
-                    if verdict is True
-                ]
-                if right_matched is not None:
-                    cursor = 0
-                    for bucket in buckets:
-                        if bucket is not None:
-                            for index in bucket:
-                                if verdicts[cursor] is True:
-                                    right_matched[index] = 1
-                                cursor += 1
-                if preserve_left:
-                    # Candidates are probe-major, so each probe row owns
-                    # one contiguous verdict segment; ``True in seg`` is
-                    # a C-level scan.
-                    cursor = 0
-                    unmatched = []
-                    for position, bucket in enumerate(buckets):
-                        if bucket is None:
-                            unmatched.append(left_rows[position])
-                            continue
-                        step = cursor + len(bucket)
-                        if True not in verdicts[cursor:step]:
-                            unmatched.append(left_rows[position])
-                        cursor = step
-                    out.extend(row + null_right for row in unmatched)
-            else:
-                out = []
-                append = out.append
-                for left_row, key in zip(left_rows, keys):
-                    matched = False
-                    if key is not None:
-                        bucket = build_get(key)
-                        if bucket is not None:
-                            for index in bucket:
-                                combined = left_row + right_rows[index]
-                                if residual(combined, ctx) is True:
-                                    matched = True
-                                    if right_matched is not None:
-                                        right_matched[index] = 1
-                                    append(combined)
-                    if not matched and preserve_left:
-                        append(left_row + null_right)
+                if left_gather
+                else []
+            )
+            out = [
+                left + right
+                for left, right, verdict in zip(left_gather, right_gather, verdicts)
+                if verdict is True
+            ]
+            if right_matched is not None:
+                cursor = 0
+                for bucket in buckets:
+                    if bucket is not None:
+                        for index in bucket:
+                            if verdicts[cursor] is True:
+                                right_matched[index] = 1
+                            cursor += 1
+            if preserve_left:
+                # Candidates are probe-major, so each probe row owns one
+                # contiguous verdict segment; ``True in seg`` is a
+                # C-level scan.
+                cursor = 0
+                unmatched = []
+                for position, bucket in enumerate(buckets):
+                    if bucket is None:
+                        unmatched.append(left_rows[position])
+                        continue
+                    step = cursor + len(bucket)
+                    if True not in verdicts[cursor:step]:
+                        unmatched.append(left_rows[position])
+                    cursor = step
+                out.extend(row + null_right for row in unmatched)
             if out:
                 yield from chunk_rows(out, width, batch_size)
         if right_matched is not None:
@@ -1103,41 +817,28 @@ class HashAggregate(PlanNode):
     columns a single group exists even for empty input (SQL grand
     aggregate), producing count=0 / sum=NULL defaults — the behaviour the
     paper's Fig. 11 footnote 4 relies on.
+
+    ``group_exprs`` are the group-key kernels.  Argument evaluation is
+    shared (``sum(x)`` + ``avg(x)`` read one evaluation of ``x``):
+    ``unique_args`` are the kernels of the distinct argument
+    expressions, ``arg_slots[i]`` the index aggregate ``i`` reads (None
+    = no argument, e.g. count(*)).
     """
 
     def __init__(
         self,
         child: PlanNode,
-        group_exprs: list[Scalar],
+        group_exprs: list[BatchExpr],
         agg_factories: list[Callable[[], AggState]],
-        agg_arg_exprs: list[Optional[Scalar]],
+        arg_slots: list[Optional[int]],
+        unique_args: list[BatchExpr],
         output_names: list[str],
-        arg_slots: Optional[list[Optional[int]]] = None,
-        unique_args: Optional[list[Scalar]] = None,
-        batch_group_exprs: Optional[list[BatchExpr]] = None,
-        batch_unique_args: Optional[list[BatchExpr]] = None,
     ) -> None:
         self.child = child
         self.group_exprs = group_exprs
         self.agg_factories = agg_factories
-        self.agg_arg_exprs = agg_arg_exprs
-        self.batch_group_exprs = batch_group_exprs
-        self.batch_unique_args = batch_unique_args
-        # Argument-evaluation sharing (``sum(x)`` + ``avg(x)`` read one
-        # evaluation of ``x`` per row): ``unique_args`` are the distinct
-        # compiled argument expressions, ``arg_slots[i]`` the index each
-        # aggregate state reads (None = no argument, e.g. count(*)).
-        if arg_slots is None:
-            arg_slots = []
-            unique_args = []
-            for fn in agg_arg_exprs:
-                if fn is None:
-                    arg_slots.append(None)
-                else:
-                    arg_slots.append(len(unique_args))
-                    unique_args.append(fn)
         self.arg_slots = arg_slots
-        self.unique_args = unique_args or []
+        self.unique_args = unique_args
         self.output_names = output_names
         self.estimate = max(child.estimate * 0.1, 1.0)
 
@@ -1147,51 +848,7 @@ class HashAggregate(PlanNode):
     def label(self) -> str:
         return f"HashAggregate ({len(self.group_exprs)} keys, {len(self.agg_factories)} aggs)"
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        group_exprs = self.group_exprs
-        factories = self.agg_factories
-        unique_args = self.unique_args
-        arg_slots = self.arg_slots
-        agg_count = len(factories)
-        single_group = group_exprs[0] if len(group_exprs) == 1 else None
-        single_arg = (
-            unique_args[0]
-            if agg_count == 1 and arg_slots and arg_slots[0] == 0
-            else None
-        )
-        groups: dict[tuple, list[AggState]] = {}
-        groups_get = groups.get
-        order: list[tuple] = []
-        for row in self.child.run(ctx):
-            if single_group is not None:
-                key = (single_group(row, ctx),)
-            else:
-                key = tuple(fn(row, ctx) for fn in group_exprs)
-            states = groups_get(key)
-            if states is None:
-                states = [factory() for factory in factories]
-                groups[key] = states
-                order.append(key)
-            if single_arg is not None:
-                states[0].add(single_arg(row, ctx))
-            else:
-                values = [fn(row, ctx) for fn in unique_args]
-                for i in range(agg_count):
-                    slot = arg_slots[i]
-                    states[i].add(values[slot] if slot is not None else None)
-        if not groups and not group_exprs:
-            states = [factory() for factory in factories]
-            yield tuple(state.result() for state in states)
-            return
-        for key in order:
-            yield key + tuple(state.result() for state in groups[key])
-
-    # -- batch protocol -----------------------------------------------------
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        if self.batch_group_exprs is None or self.batch_unique_args is None:
-            yield from PlanNode.run_batches(self, ctx)
-            return
         groups, order, grand_states = self._accumulate_batches(ctx)
         yield from self._emit_batches(groups, order, grand_states, ctx)
 
@@ -1206,10 +863,9 @@ class HashAggregate(PlanNode):
         returns ``(groups, first-encounter key order, grand states)``.
         """
         factories = self.agg_factories
-        arg_slots = self.arg_slots
-        group_kernels = self.batch_group_exprs
-        arg_kernels = self.batch_unique_args
-        state_slots = list(zip(range(len(factories)), arg_slots))
+        group_kernels = self.group_exprs
+        arg_kernels = self.unique_args
+        state_slots = list(zip(range(len(factories)), self.arg_slots))
         groups: dict[tuple, list[AggState]] = {}
         groups_get = groups.get
         order: list[tuple] = []
@@ -1255,7 +911,7 @@ class HashAggregate(PlanNode):
                 count = len(positions)
                 # Gather each unique argument slot once per group; every
                 # aggregate reading that slot (sum(x) + avg(x)) shares
-                # the slice, mirroring the row engine's arg sharing.
+                # the slice.
                 gathered: dict[int, list] = {}
                 for index, slot in state_slots:
                     if slot is None:
@@ -1308,9 +964,6 @@ class SortNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        yield from self._sorted_rows(list(self.child.run(ctx)))
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         rows = [
             row for chunk in self.child.run_batches(ctx) for row in chunk.rows()
@@ -1358,18 +1011,6 @@ class LimitNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        skipped = 0
-        emitted = 0
-        for row in self.child.run(ctx):
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.count is not None and emitted >= self.count:
-                return
-            emitted += 1
-            yield row
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         to_skip = self.offset
         remaining = self.count
@@ -1401,13 +1042,6 @@ class DistinctNode(PlanNode):
 
     def children(self) -> list[PlanNode]:
         return [self.child]
-
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        seen: set = set()
-        for row in self.child.run(ctx):
-            if row not in seen:
-                seen.add(row)
-                yield row
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         seen: set = set()
@@ -1446,54 +1080,6 @@ class SetOpPlanNode(PlanNode):
 
     def label(self) -> str:
         return f"SetOp ({self.op}{' all' if self.all else ''})"
-
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        if self.op == "union":
-            if self.all:
-                yield from self.left.run(ctx)
-                yield from self.right.run(ctx)
-                return
-            seen: set = set()
-            for source in (self.left, self.right):
-                for row in source.run(ctx):
-                    if row not in seen:
-                        seen.add(row)
-                        yield row
-            return
-        if self.op == "intersect":
-            right_counts = Counter(self.right.run(ctx))
-            if self.all:
-                remaining = dict(right_counts)
-                for row in self.left.run(ctx):
-                    count = remaining.get(row, 0)
-                    if count > 0:
-                        remaining[row] = count - 1
-                        yield row
-                return
-            emitted: set = set()
-            for row in self.left.run(ctx):
-                if row in right_counts and row not in emitted:
-                    emitted.add(row)
-                    yield row
-            return
-        if self.op == "except":
-            right_counts = Counter(self.right.run(ctx))
-            if self.all:
-                remaining = dict(right_counts)
-                for row in self.left.run(ctx):
-                    count = remaining.get(row, 0)
-                    if count > 0:
-                        remaining[row] = count - 1
-                        continue
-                    yield row
-                return
-            emitted = set()
-            for row in self.left.run(ctx):
-                if row not in right_counts and row not in emitted:
-                    emitted.add(row)
-                    yield row
-            return
-        raise ExecutionError(f"unknown set operation {self.op!r}")
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         width = self.width()
@@ -1570,8 +1156,8 @@ class SetOpPlanNode(PlanNode):
 class MaterializeNode(PlanNode):
     """Caches child output; used when a subplan is executed repeatedly.
 
-    The spool lives in ``ctx.caches`` (keyed by the node), not on the
-    plan object: within one execution every consumer shares one
+    The chunk spool lives in ``ctx.caches`` (keyed by the node), not on
+    the plan object: within one execution every consumer shares one
     materialization, while a prepared plan re-run on a fresh context
     re-reads live table data.
     """
@@ -1584,27 +1170,9 @@ class MaterializeNode(PlanNode):
     def children(self) -> list[PlanNode]:
         return [self.child]
 
-    def run(self, ctx: ExecContext) -> Iterator[Row]:
-        cache = ctx.caches.get(self)
-        if cache is None:
-            chunks = ctx.caches.get((self, "chunks"))
-            if chunks is not None:
-                # A batched consumer already spooled the child; reuse it.
-                cache = [row for chunk in chunks for row in chunk.rows()]
-            else:
-                cache = list(self.child.run(ctx))
-            ctx.caches[self] = cache
-        return iter(cache)
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        chunks = ctx.caches.get((self, "chunks"))
+        chunks = ctx.caches.get(self)
         if chunks is None:
-            rows = ctx.caches.get(self)
-            if rows is not None:
-                chunks = list(chunk_rows(rows, self.width(), ctx.batch_size))
-            else:
-                chunks = [
-                    chunk.compact() for chunk in self.child.run_batches(ctx)
-                ]
-            ctx.caches[(self, "chunks")] = chunks
+            chunks = [chunk.compact() for chunk in self.child.run_batches(ctx)]
+            ctx.caches[self] = chunks
         return iter(chunks)

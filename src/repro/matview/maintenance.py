@@ -244,6 +244,7 @@ def _evaluate(
     """
     from repro.core.rewriter import traverse_query_tree
     from repro.executor.nodes import run_plan_rows
+    from repro.storage.chunk import DEFAULT_BATCH_SIZE
 
     analyzed = Analyzer(catalog).analyze(statement)
     rewritten = traverse_query_tree(analyzed)
@@ -252,10 +253,10 @@ def _evaluate(
         from repro.optimizer import optimize_query_tree
 
         planned = optimize_query_tree(rewritten)
-    plan = make_planner(
-        catalog, cost_based=db.cost_based_enabled, vectorize=False
-    ).plan(planned)
-    ctx = ExecContext(snapshot=snapshot)
+    plan = make_planner(catalog, cost_based=db.cost_based_enabled).plan(planned)
+    ctx = ExecContext(
+        batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE, snapshot=snapshot
+    )
     rows = run_plan_rows(plan, ctx)
     return analyzed, planned, list(plan.output_names), rows
 

@@ -1,6 +1,6 @@
 """Morsel-driven intra-query parallelism.
 
-The vectorized engine already decomposes scans into columnar chunks;
+The batch engine already decomposes scans into columnar chunks;
 this package turns those chunk ranges into *morsels* — independently
 schedulable scan ranges — and fans a parallel-safe pipeline out over a
 worker pool, merging per-worker state at an exchange operator:
@@ -21,9 +21,9 @@ worker pool, merging per-worker state at an exchange operator:
   scan→filter→project(→partial-aggregate) pipelines when the estimated
   scan cardinality justifies the fan-out.
 
-The row engine never parallelizes and ``parallel_workers=1`` disables
-exchange insertion entirely — both stay available as differential
-oracles for the parallel paths.
+``parallel_workers=1`` disables exchange insertion entirely; serial
+execution stays available as the differential oracle for the parallel
+paths.
 """
 
 from __future__ import annotations

@@ -17,9 +17,6 @@ range), and merges worker outputs:
   order.  The merge is semiring-native — polynomial annotation states
   add in ``N[X]``, so ``SELECT PROVENANCE (polynomial)`` aggregates
   parallelize without leaving the provenance algebra.
-
-The row protocol (:meth:`run`) always executes serially — the row
-engine is the differential oracle for the parallel paths.
 """
 
 from __future__ import annotations
@@ -61,11 +58,6 @@ class ExchangeNode(PlanNode):
             f"Exchange ({mode}, {self.workers} workers, "
             f"morsel={self.morsel_size})"
         )
-
-    # -- serial oracle -------------------------------------------------------
-
-    def run(self, ctx: ExecContext) -> Iterator[tuple]:
-        return self.child.run(ctx)
 
     # -- parallel execution --------------------------------------------------
 

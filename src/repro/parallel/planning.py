@@ -41,38 +41,24 @@ _CHILD_ATTRS = ("child", "left", "right")
 
 def _pipeline_scan(node: PlanNode) -> Optional[SeqScan]:
     """The base scan of a parallel-safe pipeline rooted at ``node``, or
-    None when the subtree is not a wrappable pipeline."""
+    None when the subtree is not a wrappable pipeline.  A fused node
+    counts as one pipeline operator: its kernel is pure per-chunk work
+    over its bare scan, and the chain's ``parallel_safe`` flags folded
+    into its own at fusion time."""
     current = node
     if isinstance(current, HashAggregate):
-        if (
-            not current.parallel_safe
-            or current.batch_group_exprs is None
-            or current.batch_unique_args is None
-        ):
+        if not current.parallel_safe:
             return None
         current = current.child
-    while True:
-        if isinstance(current, SeqScan):
-            if not current.parallel_safe:
-                return None
-            if current.predicate is not None and current.batch_predicates is None:
-                return None  # row-only predicate: no batch form to fork
-            return current
-        if isinstance(current, FusedPipelineNode):
-            # The fused kernel is pure per-chunk work over its bare
-            # scan; the chain's parallel_safe flags folded into the
-            # node's own at fusion time.
-            if not current.parallel_safe:
-                return None
-        elif isinstance(current, FilterNode):
-            if not current.parallel_safe or current.batch_predicates is None:
-                return None
-        elif isinstance(current, ProjectNode):
-            if not current.parallel_safe or current.batch_exprs is None:
-                return None
-        elif not isinstance(current, SliceNode):
+    while isinstance(
+        current, (FusedPipelineNode, FilterNode, ProjectNode, SliceNode)
+    ):
+        if not current.parallel_safe:
             return None
         current = current.child
+    if isinstance(current, SeqScan) and current.parallel_safe:
+        return current
+    return None
 
 
 def insert_exchanges(

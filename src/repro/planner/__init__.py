@@ -25,7 +25,7 @@ Planner = CostBasedPlanner
 def make_planner(
     catalog,
     cost_based: bool = True,
-    vectorize: bool = False,
+    vectorize: bool = True,
     outer_varmaps: Optional[list] = None,
     shared=None,
     parallel_workers: int = 1,
@@ -41,14 +41,13 @@ def make_planner(
     it is the differential oracle for the parallel paths.
     ``parallel_executor`` picks the worker-pool strategy exchanges
     dispatch on (``thread`` / ``process`` / ``serial``).
-    ``fuse_pipelines`` toggles the pipeline-fusion post-pass
-    (:mod:`repro.executor.fusion`; vectorized plans only).
+    ``vectorize`` and ``fuse_pipelines`` are accepted and ignored: every
+    plan runs batch-at-a-time with fused scan→filter→project kernels.
     """
     cls = CostBasedPlanner if cost_based else HeuristicPlanner
-    planner = cls(catalog, outer_varmaps, shared, vectorize=vectorize)
+    planner = cls(catalog, outer_varmaps, shared)
     planner.parallel_workers = parallel_workers
     planner.morsel_size = morsel_size
-    planner.fuse_pipelines = fuse_pipelines
     planner.parallel_executor = parallel_executor
     return planner
 

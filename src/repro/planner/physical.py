@@ -34,7 +34,7 @@ compile into reads of the executor's outer-row stack.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanError
@@ -81,30 +81,9 @@ if TYPE_CHECKING:
 _POST_AGG_VARNO = -1
 
 
-def _slot_reader(slot: int):
-    """A compiled expression that reads one input slot."""
-    return lambda row, ctx: row[slot]
-
-
 def _slot_column(slot: int):
-    """The batch-mode twin of :func:`_slot_reader`: one chunk column."""
+    """A key kernel that reads one input slot: one chunk column."""
     return lambda chunk, ctx: chunk.column(slot)
-
-
-def _conjoin_predicates(first, second):
-    """Combine two compiled predicates into one three-valued AND.
-
-    Filter semantics only keep rows where the predicate is exactly True,
-    so short-circuiting on ``is not True`` preserves NULL handling.
-    """
-
-    def combined(row, ctx):
-        verdict = first(row, ctx)
-        if verdict is not True:
-            return verdict
-        return second(row, ctx)
-
-    return combined
 
 
 class _Unit:
@@ -230,18 +209,12 @@ class PlannerBase:
     #: Worker-pool strategy inserted exchanges dispatch on
     #: (``thread`` / ``process`` / ``serial``).
     parallel_executor: str = "thread"
-    #: Pipeline-fusion post-pass toggle (vectorized plans only): when
-    #: set, scan→filter→project chains collapse into one generated
-    #: kernel (:mod:`repro.executor.fusion`).  ``connect`` threads the
-    #: user's ``fuse_pipelines`` flag here through ``make_planner``.
-    fuse_pipelines: bool = True
 
     def __init__(
         self,
         catalog: Catalog,
         outer_varmaps: Optional[list[VarMap]] = None,
         shared: Optional[_SharedSubplans] = None,
-        vectorize: bool = False,
     ) -> None:
         self.catalog = catalog
         self.outer_varmaps = list(outer_varmaps or [])
@@ -250,13 +223,6 @@ class PlannerBase:
         # planners inherit the registry and skip them.
         self._root = shared is None
         self.shared = shared if shared is not None else _SharedSubplans()
-        # When set, every expression is additionally compiled to a batch
-        # kernel and attached to the plan nodes, enabling the vectorized
-        # ``run_batches`` protocol on the whole tree.  Subtrees whose
-        # expressions resist vectorization degrade per-expression (the
-        # kernel falls back to the row closure internally) or per-node
-        # (conditional nested loops bridge to the row protocol).
-        self.vectorize = vectorize
         # Output column statistics of the most recently planned query
         # (parallel to its visible+junk target list); consumed by parent
         # planners to thread stats through subquery boundaries.
@@ -264,11 +230,7 @@ class PlannerBase:
 
     def _spawn(self, outer_varmaps: Optional[list[VarMap]] = None) -> "PlannerBase":
         """A child planner of the same concrete class."""
-        child = type(self)(
-            self.catalog, outer_varmaps, self.shared, vectorize=self.vectorize
-        )
-        child.fuse_pipelines = self.fuse_pipelines
-        return child
+        return type(self)(self.catalog, outer_varmaps, self.shared)
 
     # -- decision hooks (answered by subclasses) ------------------------------
 
@@ -315,14 +277,13 @@ class PlannerBase:
         ``joined`` (internal, aggregation-join fusion) substitutes an
         already-planned FROM/WHERE unit: the query's own join tree and
         quals are skipped and its aggregation/projection/sort pipeline is
-        planned on top of the given subplan.
+        planned on top of the given subplan.  Scan→filter→project
+        chains of the result are fused into generated kernels
+        (:mod:`repro.executor.fusion`).
         """
-        plan = self._plan_query(query, joined)
-        if self.vectorize and self.fuse_pipelines:
-            from repro.executor.fusion import fuse_pipelines
+        from repro.executor.fusion import fuse_pipelines
 
-            plan = fuse_pipelines(plan)
-        return plan
+        return fuse_pipelines(self._plan_query(query, joined))
 
     def _plan_query(
         self, query: Query, joined: Optional["_Unit"] = None
@@ -384,80 +345,70 @@ class PlannerBase:
     def _compiler(self, varmap: VarMap) -> ExprCompiler:
         return ExprCompiler(varmap, self.outer_varmaps, plan_subquery=self._plan_sublink)
 
-    # -- batch-kernel compilation helpers --------------------------------------
-
-    def _batch_compile(self, compiler: ExprCompiler, expr: ex.Expr):
-        """The expression's batch kernel, or None when not vectorizing."""
-        return compiler.compile_batch(expr) if self.vectorize else None
-
-    def _batch_compile_all(
-        self, compiler: ExprCompiler, exprs: list[ex.Expr]
-    ) -> Optional[list]:
-        if not self.vectorize:
-            return None
-        return [compiler.compile_batch(e) for e in exprs]
-
-    def _batch_target_exprs(
-        self,
-        compiler: ExprCompiler,
-        exprs: list[ex.Expr],
-        slots: list[Optional[int]],
-    ) -> Optional[list]:
-        """Projection kernels; slot-covered positions pass through as None."""
-        if not self.vectorize:
-            return None
-        return [
-            None if slot is not None else compiler.compile_batch(expr)
-            for expr, slot in zip(exprs, slots)
-        ]
+    # -- filters and projections ------------------------------------------------
 
     def _filter_node(
         self, plan: PlanNode, compiler: ExprCompiler, conjunct: ex.Expr
     ) -> FilterNode:
-        """A FilterNode with both row and (when vectorizing) batch forms."""
-        batch = self._batch_compile(compiler, conjunct)
-        node = FilterNode(
-            plan,
-            compiler.compile(conjunct),
-            [batch] if batch is not None else None,
-        )
-        if batch is not None:
-            node.fusion = (compiler.varmap, [conjunct])
+        """A FilterNode for one conjunct over ``plan``."""
+        node = FilterNode(plan, [compiler.compile_batch(conjunct)])
+        node.fusion = (compiler.varmap, [conjunct])
         if not _expr_parallel_safe(conjunct):
             node.parallel_safe = False
         return node
 
     def _push_conjunct(self, unit: "_Unit", conjunct: ex.Expr) -> None:
-        """Compile a conjunct against a unit's layout and push it down."""
-        compiler = self._compiler(unit.varmap)
-        batch = self._batch_compile(compiler, conjunct)
-        self._push_filter(unit, compiler.compile(conjunct), batch)
-        self._note_fusion_conjunct(unit.plan, unit.varmap, conjunct, batch)
-        if not _expr_parallel_safe(conjunct):
-            # The push either merged into unit.plan (scan/filter) or
-            # wrapped it in a fresh FilterNode; either way the node now
-            # carrying this conjunct must not run inside a morsel worker.
-            unit.plan.parallel_safe = False
+        """Compile a conjunct against a unit's layout and push it down.
 
-    @staticmethod
-    def _note_fusion_conjunct(
-        plan: PlanNode, varmap: VarMap, conjunct: ex.Expr, batch
-    ) -> None:
-        """Record a pushed conjunct's analyzed form on the node now
-        carrying it, in parallel with its batch kernel — the fusion
-        pass re-emits it as inline source.  A conjunct without a batch
-        form poisons the metadata exactly as it poisons batch mode."""
+        The kernel merges into an existing scan or filter node —
+        conjuncts arrive one at a time and one node applying them in
+        order costs less than a stack of filters — or wraps the unit's
+        plan in a fresh FilterNode.  The node carrying it records the
+        analyzed conjunct beside the kernel (``fusion``), which the
+        fusion pass re-emits as inline source.
+        """
         from repro.executor.nodes import SeqScan
 
-        if not isinstance(plan, (SeqScan, FilterNode)):
-            return
-        if batch is None or plan.batch_predicates is None:
-            plan.fusion = None
-            return
-        if plan.fusion is None:
-            plan.fusion = (varmap, [conjunct])
+        kernel = self._compiler(unit.varmap).compile_batch(conjunct)
+        plan = unit.plan
+        if isinstance(plan, (SeqScan, FilterNode)):
+            plan.predicates.append(kernel)
+            if plan.fusion is None:
+                plan.fusion = (unit.varmap, [conjunct])
+            else:
+                plan.fusion[1].append(conjunct)
+            plan.estimate = max(plan.estimate * 0.25, 1.0)
         else:
-            plan.fusion[1].append(conjunct)
+            plan = unit.plan = FilterNode(plan, [kernel])
+            plan.fusion = (unit.varmap, [conjunct])
+        if not _expr_parallel_safe(conjunct):
+            # The node now carrying this conjunct must not run inside a
+            # morsel worker.
+            plan.parallel_safe = False
+
+    def _project_node(
+        self,
+        plan: PlanNode,
+        compiler: ExprCompiler,
+        target_exprs: list[ex.Expr],
+        names: list[str],
+    ) -> ProjectNode:
+        """A ProjectNode of ``target_exprs`` over ``plan``: plain-Var
+        positions read their slot, the rest get a batch kernel and (for
+        row-backed input) a row closure."""
+        slots = self._slot_hints(target_exprs, compiler.varmap)
+        pairs = list(zip(target_exprs, slots))
+        node = ProjectNode(
+            plan,
+            names,
+            slots,
+            kernels=[None if s is not None else compiler.compile_batch(e) for e, s in pairs],
+            exprs=[None if s is not None else compiler.compile(e) for e, s in pairs],
+        )
+        node.fusion = (compiler.varmap, list(target_exprs))
+        if not all(_expr_parallel_safe(e) for e in target_exprs):
+            node.parallel_safe = False
+        return node
 
     # -- RTE plans ------------------------------------------------------------------
 
@@ -524,20 +475,9 @@ class PlannerBase:
         if slots is not None:
             plan = self._make_slice(plan, slots, names)
         else:
-            compiler = self._compiler(varmap)
-            exprs = [compiler.compile(e) for e in target_exprs]
-            slot_hints = self._slot_hints(target_exprs, varmap)
-            plan = ProjectNode(
-                plan, exprs, names,
-                slots=slot_hints,
-                batch_exprs=self._batch_target_exprs(
-                    compiler, target_exprs, slot_hints
-                ),
+            plan = self._project_node(
+                plan, self._compiler(varmap), target_exprs, names
             )
-            if self.vectorize:
-                plan.fusion = (varmap, list(target_exprs))
-            if not all(_expr_parallel_safe(e) for e in target_exprs):
-                plan.parallel_safe = False
         if query.distinct and not skip_distinct:
             plan = DistinctNode(plan)
         return plan
@@ -624,50 +564,6 @@ class PlannerBase:
             from_subquery=left.from_subquery or right.from_subquery,
         )
 
-    @staticmethod
-    def _push_filter(unit: _Unit, predicate, batch_predicate=None) -> None:
-        """Attach a single-unit filter, merging into an existing scan
-        predicate or filter node — conjuncts arrive one at a time and a
-        stack of generator frames costs more than one combined check.
-
-        Batch kernels accumulate as a list (applied in order over
-        selection vectors); a conjunct without a batch form poisons the
-        node's batch predicate so execution falls back to the row bridge
-        rather than silently dropping the conjunct.
-        """
-        from repro.executor.nodes import SeqScan
-
-        plan = unit.plan
-        if isinstance(plan, SeqScan):
-            had_predicate = plan.predicate is not None
-            if not had_predicate:
-                plan.predicate = predicate
-            else:
-                plan.predicate = _conjoin_predicates(plan.predicate, predicate)
-            if batch_predicate is None:
-                plan.batch_predicates = None
-            elif had_predicate and plan.batch_predicates is None:
-                pass  # earlier row-only conjunct already poisoned batch mode
-            else:
-                if plan.batch_predicates is None:
-                    plan.batch_predicates = []
-                plan.batch_predicates.append(batch_predicate)
-            plan.estimate = max(plan.estimate * 0.25, 1.0)
-            return
-        if isinstance(plan, FilterNode):
-            plan.predicate = _conjoin_predicates(plan.predicate, predicate)
-            if batch_predicate is None or plan.batch_predicates is None:
-                plan.batch_predicates = None
-            else:
-                plan.batch_predicates.append(batch_predicate)
-            plan.estimate = max(plan.estimate * 0.25, 1.0)
-            return
-        unit.plan = FilterNode(
-            plan,
-            predicate,
-            [batch_predicate] if batch_predicate is not None else None,
-        )
-
     # -- aggregation-join fusion (Query.agg_share) -----------------------------
 
     def _plan_fused_unit(
@@ -707,16 +603,8 @@ class PlannerBase:
             left: PlanNode = mat
             b_slots = slots
         else:
-            compiler = inner._compiler(core.varmap)
-            slot_hints = self._slot_hints(target_exprs, core.varmap)
-            left = ProjectNode(
-                mat,
-                [compiler.compile(e) for e in target_exprs],
-                names,
-                slots=slot_hints,
-                batch_exprs=self._batch_target_exprs(
-                    compiler, target_exprs, slot_hints
-                ),
+            left = self._project_node(
+                mat, inner._compiler(core.varmap), target_exprs, names
             )
             b_slots = list(range(len(target_exprs)))
 
@@ -738,26 +626,14 @@ class PlannerBase:
                 agg_plan = self.shared.remember(agg, agg_plan)
 
         if positions:
-            left_keys = [_slot_reader(b_slots[i]) for i in range(len(positions))]
-            right_keys = [_slot_reader(p) for p in positions]
             join: PlanNode = HashJoin(
                 left,
                 agg_plan,
                 "inner",
-                left_keys,
-                right_keys,
+                [_slot_column(b_slots[i]) for i in range(len(positions))],
+                [_slot_column(p) for p in positions],
                 None,
                 [True] * len(positions),
-                batch_left_keys=(
-                    [_slot_column(b_slots[i]) for i in range(len(positions))]
-                    if self.vectorize
-                    else None
-                ),
-                batch_right_keys=(
-                    [_slot_column(p) for p in positions]
-                    if self.vectorize
-                    else None
-                ),
             )
             join.left_key_slots = [b_slots[i] for i in range(len(positions))]
             join.right_key_slots = list(positions)
@@ -839,47 +715,23 @@ class PlannerBase:
         if left_keys:
             left_compiler = self._compiler(left.varmap)
             right_compiler = self._compiler(right.varmap)
-            residual_fn = (
-                compiler.compile(conjoin(residual)) if residual else None
-            )
             join = HashJoin(
                 left.plan,
                 right.plan,
                 join_type,
-                [left_compiler.compile(k) for k in left_keys],
-                [right_compiler.compile(k) for k in right_keys],
-                residual_fn,
+                [left_compiler.compile_batch(k) for k in left_keys],
+                [right_compiler.compile_batch(k) for k in right_keys],
+                compiler.compile_batch(conjoin(residual)) if residual else None,
                 null_safe,
-                batch_left_keys=self._batch_compile_all(left_compiler, left_keys),
-                batch_right_keys=self._batch_compile_all(
-                    right_compiler, right_keys
-                ),
-                # Outer-join residuals ride the two-phase filter-then-
-                # reconcile kernel only in the fused configuration, so
-                # ``fuse_pipelines=False`` reproduces the pre-fusion
-                # executor (per-pair residual closures) for differential
-                # testing and benchmarking.
-                batch_residual=(
-                    self._batch_compile(compiler, conjoin(residual))
-                    if residual
-                    and (join_type == "inner" or self.fuse_pipelines)
-                    else None
-                ),
             )
             join.left_key_slots = self._var_key_slots(left_keys, left.varmap)
             join.right_key_slots = self._var_key_slots(right_keys, right.varmap)
             return join
-        condition_fn = compiler.compile(conjoin(conjuncts)) if conjuncts else None
         return NestedLoopJoin(
             left.plan,
             right.plan,
             join_type,
-            condition_fn,
-            batch_condition=(
-                self._batch_compile(compiler, conjoin(conjuncts))
-                if conjuncts
-                else None
-            ),
+            compiler.compile_batch(conjoin(conjuncts)) if conjuncts else None,
         )
 
     @staticmethod
@@ -921,20 +773,16 @@ class PlannerBase:
             collect(query.having)
 
         input_compiler = self._compiler(joined.varmap)
-        group_fns = [input_compiler.compile(g) for g in query.group_clause]
         agg_factories = []
-        agg_args: list[Optional[Callable]] = []
         # Distinct argument expressions are compiled (and evaluated) once;
         # sum(x) and avg(x) share one evaluation of x per input row.
         arg_slots: list[Optional[int]] = []
         unique_arg_exprs: list[ex.Expr] = []
-        unique_arg_fns: list[Callable] = []
         for aggref in aggrefs:
             agg_factories.append(
                 make_aggregate_factory(aggref.aggname, aggref.star, aggref.distinct)
             )
             if aggref.arg is None:
-                agg_args.append(None)
                 arg_slots.append(None)
                 continue
             try:
@@ -942,8 +790,6 @@ class PlannerBase:
             except ValueError:
                 slot = len(unique_arg_exprs)
                 unique_arg_exprs.append(aggref.arg)
-                unique_arg_fns.append(input_compiler.compile(aggref.arg))
-            agg_args.append(unique_arg_fns[slot])
             arg_slots.append(slot)
         group_count = len(query.group_clause)
         output_names = [f"g{i}" for i in range(group_count)] + [
@@ -951,18 +797,11 @@ class PlannerBase:
         ]
         agg_plan: PlanNode = HashAggregate(
             joined.plan,
-            group_fns,
+            [input_compiler.compile_batch(g) for g in query.group_clause],
             agg_factories,
-            agg_args,
+            arg_slots,
+            [input_compiler.compile_batch(e) for e in unique_arg_exprs],
             output_names,
-            arg_slots=arg_slots,
-            unique_args=unique_arg_fns,
-            batch_group_exprs=self._batch_compile_all(
-                input_compiler, list(query.group_clause)
-            ),
-            batch_unique_args=self._batch_compile_all(
-                input_compiler, unique_arg_exprs
-            ),
         )
         if not all(
             _expr_parallel_safe(e)
@@ -1147,21 +986,19 @@ class CostBasedPlanner(PlannerBase):
         catalog: Catalog,
         outer_varmaps: Optional[list[VarMap]] = None,
         shared: Optional[_SharedSubplans] = None,
-        vectorize: bool = False,
     ) -> None:
-        super().__init__(catalog, outer_varmaps, shared, vectorize=vectorize)
+        super().__init__(catalog, outer_varmaps, shared)
         from repro.planner.cost import CostModel
 
         self._cost = CostModel(catalog)
 
     def plan(self, query: Query, joined: Optional[_Unit] = None) -> PlanNode:
         plan = super().plan(query, joined)
-        if self._root and self.parallel_workers > 1 and self.vectorize:
+        if self._root and self.parallel_workers > 1:
             # Statement-level parallelization: wrap parallel-safe
             # scan→filter→project(→partial-aggregate) pipelines in
             # exchange nodes.  Root planners only — the pass reaches
-            # subquery plans through the finished tree, and vectorized
-            # kernels are a precondition for morsel workers.
+            # subquery plans through the finished tree.
             from repro.parallel.planning import insert_exchanges
 
             plan = insert_exchanges(
@@ -1263,8 +1100,7 @@ class CostBasedPlanner(PlannerBase):
         # concatenation saves one materialization per match.
         child = joined.plan
         if (
-            self.vectorize
-            and isinstance(child, HashJoin)
+            isinstance(child, HashJoin)
             and child.join_type == "inner"
             and child.residual is None
             and child.width() <= self.COLUMNAR_OUTPUT_MAX_WIDTH
@@ -1519,7 +1355,7 @@ class CostBasedPlanner(PlannerBase):
         """Push a column selection below a hash join, remapping key slots.
 
         Requires Var-only keys (slot metadata present), no residual
-        condition (its compiled closure reads the merged layout), and a
+        condition (its compiled kernel reads the merged layout), and a
         side-contiguous ``keep`` order.  Key slots missing from ``keep``
         ride along in the narrowed inputs and are dropped by a thin
         slice above the rebuilt join — the join itself then concatenates
@@ -1566,20 +1402,10 @@ class CostBasedPlanner(PlannerBase):
             left_child,
             right_child,
             plan.join_type,
-            [_slot_reader(s) for s in new_left_slots],
-            [_slot_reader(s) for s in new_right_slots],
+            [_slot_column(s) for s in new_left_slots],
+            [_slot_column(s) for s in new_right_slots],
             None,
             list(plan.null_safe),
-            batch_left_keys=(
-                [_slot_column(s) for s in new_left_slots]
-                if plan.batch_left_keys is not None
-                else None
-            ),
-            batch_right_keys=(
-                [_slot_column(s) for s in new_right_slots]
-                if plan.batch_right_keys is not None
-                else None
-            ),
         )
         join.left_key_slots = new_left_slots
         join.right_key_slots = new_right_slots

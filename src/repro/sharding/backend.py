@@ -18,7 +18,7 @@ typed fallbacks.  Per query it
 4. gather-merges the partials semiring-natively
    (:mod:`repro.sharding.merge`).
 
-Execution-control toggles (vectorize, cost_based, parallel knobs) fan
+Execution-control toggles (cost_based, parallel knobs) fan
 out to the children and the fallback backend so differential behaviour
 matches the unsharded engine.
 """
@@ -45,9 +45,7 @@ DECISION_CACHE_SIZE = 64
 
 #: Toggles mirrored from the database layer onto every child backend.
 _FANOUT_ATTRS = (
-    "vectorize",
     "cost_based",
-    "fuse_pipelines",
     "parallel_workers",
     "morsel_size",
     "parallel_executor",

@@ -81,11 +81,13 @@ def _localize(rows: Sequence[Sequence[Any]]) -> Sequence[Sequence[Any]]:
     misses — four shard scans cost ~1.7x one contiguous full scan.  A
     pickle round-trip materialises fresh values in allocation order per
     shard, after which the four scans sum to *less* than the full scan.
-    Rows that refuse to pickle fall back to the shared objects.
+    Rows holding a value that refuses to pickle (a lambda, a lock, a
+    local class) fall back to the shared objects; any other failure is a
+    bug and surfaces.
     """
     try:
         return pickle.loads(pickle.dumps(list(rows), pickle.HIGHEST_PROTOCOL))
-    except Exception:
+    except (pickle.PicklingError, TypeError, AttributeError):
         return rows
 
 

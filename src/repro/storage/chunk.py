@@ -2,9 +2,9 @@
 
 A :class:`Chunk` is a horizontal slice of a relation in columnar form:
 one Python list per attribute plus a row count.  Plan nodes exchange
-chunks through ``run_batches`` instead of single tuples through ``run``,
-which amortizes the interpreter's per-row dispatch cost (generator
-frames, closure calls) over :data:`DEFAULT_BATCH_SIZE` rows at a time.
+chunks through ``run_batches`` rather than single tuples, which
+amortizes the interpreter's per-row dispatch cost (generator frames,
+closure calls) over :data:`DEFAULT_BATCH_SIZE` rows at a time.
 
 Three design points keep chunks cheap in pure Python:
 
@@ -28,7 +28,7 @@ Three design points keep chunks cheap in pure Python:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 #: Rows per chunk.  Python columns hold object *pointers*, so unlike a
 #: native columnar engine there is no L1-blocking payoff to small
@@ -228,28 +228,9 @@ class Chunk:
 
 
 def chunk_rows(
-    rows: Iterable[tuple], width: int, batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[Chunk]:
-    """Re-chunk a row iterator (the row-engine -> batch-engine bridge)."""
-    if isinstance(rows, list):
-        yield from chunk_row_list(rows, width, batch_size)
-        return
-    buffer: list[tuple] = []
-    append = buffer.append
-    for row in rows:
-        append(row)
-        if len(buffer) >= batch_size:
-            yield Chunk.from_rows(buffer, width)
-            buffer = []
-            append = buffer.append
-    if buffer:
-        yield Chunk.from_rows(buffer, width)
-
-
-def chunk_row_list(
     rows: list[tuple], width: int, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[Chunk]:
-    """Chunk an already-materialized row list by slicing (no row loop)."""
+    """Chunk a materialized row list by slicing (no row loop)."""
     count = len(rows)
     if count <= batch_size:
         if count:

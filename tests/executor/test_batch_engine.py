@@ -1,12 +1,16 @@
-"""Unit tests for the vectorized batch engine.
+"""Unit tests for the batch engine.
 
 Covers the Chunk representation (selection vectors, dual backing),
 batch expression kernels (3VL, short-circuit fidelity), node-level
 batch behaviors, the per-execution state reset that makes prepared
-plans re-runnable, and ``explain(analyze=True)``.
+plans re-runnable, ``explain(analyze=True)``, and the one-protocol
+structure (no plan node has a row path of its own; the deleted
+toggles survive only as ignored arguments and constants).
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 
@@ -82,7 +86,7 @@ def test_chunk_slice_and_compact():
 
 
 def test_chunk_rows_rechunks_by_batch_size():
-    chunks = list(chunk_rows(iter([(i,) for i in range(10)]), 1, batch_size=4))
+    chunks = list(chunk_rows([(i,) for i in range(10)], 1, batch_size=4))
     assert [len(c) for c in chunks] == [4, 4, 2]
     assert chunks[2].rows() == [(8,), (9,)]
 
@@ -137,8 +141,8 @@ def test_vectorized_scan_sees_truncate_and_reload():
 # ---------------------------------------------------------------------------
 
 
-def _db(vectorize=True):
-    db = repro.connect(vectorize=vectorize)
+def _db():
+    db = repro.connect()
     db.execute("CREATE TABLE t (a integer, b integer)")
     db.execute("INSERT INTO t VALUES (1, 10), (2, 0), (NULL, 5), (4, NULL)")
     return db
@@ -175,12 +179,11 @@ def test_batch_in_list_with_null_semantics():
     assert rows == [(False,), (False,), (None,), (True,)]
 
 
-def test_batch_sort_null_ordering_matches_row_engine():
-    for vectorize in (True, False):
-        rows = _db(vectorize).execute(
-            "SELECT b FROM t ORDER BY b DESC NULLS LAST"
-        ).rows
-        assert rows == [(10,), (5,), (0,), (None,)]
+def test_batch_sort_null_ordering():
+    rows = _db().execute("SELECT b FROM t ORDER BY b DESC NULLS LAST").rows
+    assert rows == [(10,), (5,), (0,), (None,)]
+    rows = _db().execute("SELECT b FROM t ORDER BY b").rows
+    assert rows == [(0,), (5,), (10,), (None,)]
 
 
 def test_batch_limit_offset_spanning_chunks():
@@ -231,14 +234,13 @@ def test_prepared_query_refreshes_materialized_shared_subplans():
 
 
 def test_prepared_query_refreshes_sublink_caches():
-    for vectorize in (True, False):
-        db = repro.connect(vectorize=vectorize)
-        db.execute("CREATE TABLE t (a integer)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
-        prepared = db.prepare("SELECT a FROM t WHERE a = (SELECT max(a) FROM t)")
-        assert prepared.run().rows == [(2,)]
-        db.execute("INSERT INTO t VALUES (7)")
-        assert prepared.run().rows == [(7,)]
+    db = repro.connect()
+    db.execute("CREATE TABLE t (a integer)")
+    db.execute("INSERT INTO t VALUES (1), (2)")
+    prepared = db.prepare("SELECT a FROM t WHERE a = (SELECT max(a) FROM t)")
+    assert prepared.run().rows == [(2,)]
+    db.execute("INSERT INTO t VALUES (7)")
+    assert prepared.run().rows == [(7,)]
 
 
 def test_backend_plan_cache_invalidated_by_ddl():
@@ -269,16 +271,6 @@ def test_explain_analyze_reports_rows_batches_and_time():
     assert "-- execution: 10 rows" in text
 
 
-def test_explain_analyze_row_mode():
-    db = repro.connect(vectorize=False)
-    db.execute("CREATE TABLE t (a integer)")
-    db.execute("INSERT INTO t VALUES (1), (2)")
-    text = db.explain("SELECT a FROM t", analyze=True)
-    assert "physical plan (analyzed, row-at-a-time)" in text
-    assert "actual rows=2" in text
-    assert "batches=" not in text
-
-
 def test_explain_without_analyze_does_not_execute():
     db = repro.connect()
     db.execute("CREATE TABLE t (a integer)")
@@ -287,28 +279,79 @@ def test_explain_without_analyze_does_not_execute():
 
 
 # ---------------------------------------------------------------------------
-# The vectorize toggle
+# One protocol
 # ---------------------------------------------------------------------------
 
 
-def test_vectorize_toggle_switches_execution_mode():
-    db = repro.connect()
-    assert db.vectorize_enabled
-    assert "vectorized" in db.backend.describe()
-    db.vectorize_enabled = False
-    assert "row-at-a-time" in db.backend.describe()
-    db.execute("CREATE TABLE t (a integer)")
-    db.execute("INSERT INTO t VALUES (1)")
-    assert db.execute("SELECT a FROM t").rows == [(1,)]
+def _plan_node_classes():
+    from repro.executor import fusion, nodes
+    from repro.parallel import exchange
+
+    for module in (nodes, fusion, exchange):
+        for value in vars(module).values():
+            if (
+                inspect.isclass(value)
+                and issubclass(value, nodes.PlanNode)
+                and value.__module__ == module.__name__
+                and value is not nodes.PlanNode
+            ):
+                yield value
 
 
-def test_row_bridge_composes_with_batch_parents():
-    # A plan whose node lacks batch kernels must still stream through
-    # run_batches via the base-class bridge.
-    from repro.executor.nodes import ValuesNode, FilterNode
+def test_no_plan_node_defines_its_own_row_path():
+    classes = list(_plan_node_classes())
+    assert len(classes) == 16  # 14 in nodes.py, the fused and exchange nodes
+    assert [cls.__name__ for cls in classes if "run" in vars(cls)] == []
+    assert all("run_batches" in vars(cls) for cls in classes)
+
+
+def test_run_adapter_yields_the_batch_rows():
+    from repro.executor.nodes import FilterNode, ValuesNode
 
     values = ValuesNode([(1,), (2,), (3,)], ["v"])
-    filtered = FilterNode(values, lambda row, ctx: row[0] > 1)  # row-only
+    filtered = FilterNode(
+        values, [lambda chunk, ctx: [v > 1 for v in chunk.column(0)]]
+    )
     ctx = ExecContext(batch_size=2)
-    rows = [row for chunk in filtered.run_batches(ctx) for row in chunk.rows()]
-    assert rows == [(2,), (3,)]
+    assert list(filtered.run(ctx)) == [(2,), (3,)]
+
+
+def test_connect_has_no_engine_mode_toggles():
+    parameters = inspect.signature(repro.connect).parameters
+    assert "vectorize" not in parameters
+    assert "fuse_pipelines" not in parameters
+    assert len(parameters) == 12
+    database_parameters = inspect.signature(repro.PermDatabase).parameters
+    assert "vectorize" not in database_parameters
+    assert "fuse_pipelines" not in database_parameters
+    db = repro.connect()
+    assert not hasattr(db, "vectorize_enabled")
+    assert not hasattr(db, "fuse_pipelines_enabled")
+
+
+def test_deleted_modes_survive_only_as_ignored_surface():
+    # The benchmark harness reaches the engine through these names.
+    from repro.backends import PythonBackend
+    from repro.planner import make_planner
+    from repro.sharding.backend import _FANOUT_ATTRS
+    from repro.sql.parser import parse_sql
+    from repro.tpch.dbgen import tpch_database
+    from repro.tpch.qgen import generate_query
+
+    assert PythonBackend.vectorize is True
+    assert PythonBackend.fuse_pipelines is True
+    assert "vectorize" not in _FANOUT_ATTRS
+    assert "fuse_pipelines" not in _FANOUT_ATTRS
+    assert ExecContext(vectorized=False).batch_size > 0
+
+    db = tpch_database(scale_factor=0.001, seed=42)
+    for sql in (
+        generate_query(3, seed=7, provenance=True),
+        "SELECT PROVENANCE n_name FROM nation WHERE n_regionkey = 1",
+    ):
+        (stmt,) = parse_sql(sql)
+        query, _ = db._analyze_and_rewrite(stmt)
+        legacy = make_planner(db.catalog, vectorize=False, fuse_pipelines=False)
+        explained = legacy.plan(query).explain()
+        assert explained == make_planner(db.catalog).plan(query).explain()
+    assert "FusedPipeline" in explained

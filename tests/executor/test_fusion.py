@@ -1,18 +1,58 @@
 """Unit tests for pipeline-fused kernel codegen (repro.executor.fusion).
 
-The differential guarantees live in test_fused_differential.py; these
-tests pin the mechanics: which chains fuse, which fall back, how the
-toggle threads through connect()/the shell, and that the fused node
-composes with EXPLAIN instrumentation and morsel parallelism.
+Results are checked against SQLite in tests/backends/test_differential.py
+(including random scan→filter→project pipelines).  Here every fused
+kernel is also checked against the operator chain it replaced: each
+:class:`FusedPipelineNode` keeps that chain as ``fallback``, and
+:func:`assert_fused_kernels_match_fallbacks` runs both on the same
+data.  The remaining tests pin the mechanics: which chains fuse, which
+fall back, and that the fused node composes with EXPLAIN
+instrumentation and morsel parallelism.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import repro
+from repro.executor.context import ExecContext
 from repro.executor.fusion import FusedPipelineNode, fuse_pipelines
-from repro.executor.nodes import SeqScan
+from repro.executor.nodes import PlanNode, SeqScan, run_plan_rows
+from repro.sql.parser import parse_sql
+
+from tests.backends.test_differential import (
+    _pipeline_rows,
+    pipeline_setup,
+    pipelines,
+)
+
+
+def _fused_nodes(plan: PlanNode) -> list[FusedPipelineNode]:
+    found = [plan] if isinstance(plan, FusedPipelineNode) else []
+    for child in plan.children():
+        found += _fused_nodes(child)
+    return found
+
+
+def _plan(db: repro.PermDatabase, sql: str) -> PlanNode:
+    (stmt,) = parse_sql(sql)
+    query, _ = db._analyze_and_rewrite(stmt)
+    return db.backend._plan(query)
+
+
+def assert_fused_kernels_match_fallbacks(db: repro.PermDatabase, sql: str) -> int:
+    """Run every fused kernel of ``sql``'s plan and the operator chain it
+    replaced (``fallback``) on the same data; their row bags must be
+    equal.  Returns the number of fused nodes checked."""
+    fused = _fused_nodes(_plan(db, sql))
+    for node in fused:
+        kernel_rows = run_plan_rows(node, ExecContext())
+        chain_rows = run_plan_rows(node.fallback, ExecContext())
+        assert Counter(kernel_rows) == Counter(chain_rows), (sql, node.source)
+    return len(fused)
 
 
 @pytest.fixture()
@@ -43,24 +83,29 @@ def test_explain_analyze_instruments_fused_node(db):
     assert "actual rows=2" in plan
 
 
-def test_toggle_disables_fusion(db):
-    db.fuse_pipelines_enabled = False
-    assert "FusedPipeline" not in db.explain("SELECT a FROM t WHERE a > 1")
-    db.fuse_pipelines_enabled = True
-    assert "FusedPipeline" in db.explain("SELECT a FROM t WHERE a > 1")
+def test_fused_kernel_matches_its_fallback_chain(db):
+    sql = "SELECT a + b FROM t WHERE a > 1 AND b < 5"
+    assert assert_fused_kernels_match_fallbacks(db, sql) == 1
+    # The fallback chain is the scan→filter→project the kernel replaced.
+    (node,) = _fused_nodes(_plan(db, sql))
+    assert node.fallback.label() == "ProjectNode"
+    assert sorted(node.fallback.run(ExecContext())) == [(7,), (7,)]
 
 
-def test_connect_flag_disables_fusion():
-    db = repro.connect(fuse_pipelines=False)
-    db.execute("CREATE TABLE t (a integer)")
-    db.execute("INSERT INTO t VALUES (1), (2)")
-    assert "FusedPipeline" not in db.explain("SELECT a FROM t WHERE a > 1")
-    assert db.execute("SELECT a FROM t WHERE a > 1").rows == [(2,)]
+@given(rows=_pipeline_rows, sql=pipelines())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_random_pipelines_match_their_fallback_chains(rows, sql):
+    db = repro.connect()
+    pipeline_setup(rows)(db)
+    assert_fused_kernels_match_fallbacks(db, sql)
 
 
-def test_row_engine_never_fuses(db):
-    db.vectorize_enabled = False
-    assert "FusedPipeline" not in db.explain("SELECT a FROM t WHERE a > 1")
+def test_witness_pipelines_fuse_and_match_fallbacks(db):
+    # Provenance twins fuse too: the witness columns ride the kernel.
+    sql = "SELECT PROVENANCE a, s FROM t WHERE a > 1 AND s LIKE 'a%'"
+    assert assert_fused_kernels_match_fallbacks(db, sql) == 1
 
 
 def test_projection_only_chain_not_fused(db):
@@ -69,31 +114,20 @@ def test_projection_only_chain_not_fused(db):
     assert "FusedPipeline" not in db.explain("SELECT a FROM t")
 
 
-def test_row_only_predicate_falls_back(db):
-    # A sublink in WHERE has no batch form: the conjunct poisons the
-    # fusion metadata and the plan keeps per-operator execution.
+def test_sublink_predicate_is_not_fused(db):
+    # A sublink in WHERE has no inline source form: the emitter raises
+    # NotFusible and the chain keeps its per-operator execution.
     sql = "SELECT a FROM t WHERE a = (SELECT min(b) FROM t)"
     assert "FusedPipeline" not in db.explain(sql)
     assert db.execute(sql).rows == []
 
 
-def test_fused_node_row_protocol_matches_batches(db):
-    # The fused node's run() delegates to the unfused fallback chain, so
-    # row-protocol consumers (e.g. conditional nested loops) still work.
-    from repro.executor.context import ExecContext
-    from repro.sql.parser import parse_sql
-
-    (stmt,) = parse_sql("SELECT a + b FROM t WHERE a > 1 AND b < 5")
-    query, _ = db._analyze_and_rewrite(stmt)
-    plan = db._backend._plan(query)
+def test_fused_node_run_adapter_matches_batches(db):
+    # ``run`` is the base class's row adapter over the fused kernel.
+    plan = _plan(db, "SELECT a + b FROM t WHERE a > 1 AND b < 5")
     assert isinstance(plan, FusedPipelineNode)
-    rows = list(plan.run(ExecContext(vectorized=True)))
-    batch_rows = [
-        row
-        for chunk in plan.run_batches(ExecContext(vectorized=True))
-        for row in chunk.rows()
-    ]
-    assert sorted(rows) == sorted(batch_rows) == [(7,), (7,)]
+    rows = list(plan.run(ExecContext()))
+    assert sorted(rows) == sorted(run_plan_rows(plan, ExecContext())) == [(7,), (7,)]
 
 
 def test_fuse_pass_leaves_unfusible_plans_alone(db):
@@ -111,18 +145,12 @@ def test_fusion_composes_with_morsel_parallelism():
     assert "Exchange" in plan and "FusedPipeline" in plan
     expected = sorted((a + a % 7,) for a in range(15000) if a % 7 == 3)
     assert sorted(db.execute(sql).rows) == expected
+    assert assert_fused_kernels_match_fallbacks(db, sql) == 1
 
 
-def test_shell_fuse_meta_command(capsys):
+def test_shell_has_no_fusion_toggle(capsys):
     from repro.__main__ import _handle_meta
 
     db = repro.connect()
-    _handle_meta(db, "\\fuse off")
-    assert db.fuse_pipelines_enabled is False
-    _handle_meta(db, "\\fuse on")
-    assert db.fuse_pipelines_enabled is True
-    _handle_meta(db, "\\fuse bogus")
-    out = capsys.readouterr().out
-    assert "pipeline fusion: off" in out
-    assert "pipeline fusion: on" in out
-    assert "usage" in out
+    assert _handle_meta(db, "\\fuse off") is True
+    assert "unknown meta command" in capsys.readouterr().out

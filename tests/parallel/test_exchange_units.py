@@ -16,6 +16,7 @@ from repro.executor.aggregates import (
     SumState,
 )
 from repro.executor.context import ExecContext
+from repro.executor.nodes import run_plan_rows
 from repro.parallel import resolve_worker_count
 from repro.parallel.dispatch import (
     SerialStrategy,
@@ -133,21 +134,26 @@ def test_morsels_respect_snapshot_bounds():
     while not isinstance(exchange, ExchangeNode):
         exchange = exchange.child
     snapshot = {db.catalog.table("t").uid: (db.catalog.table("t").epoch, 1000)}
-    ctx = ExecContext(vectorized=True, snapshot=snapshot)
+    ctx = ExecContext(snapshot=snapshot)
     morsels = exchange._morsels(ctx)
     assert morsels[0][0] == 0
     assert morsels[-1][1] == 1000
     assert all(stop - start <= exchange.morsel_size for start, stop in morsels)
 
 
-def test_row_protocol_stays_serial():
+def test_exchange_matches_its_serial_pipeline():
+    # The serial reference is the wrapped pipeline itself, run without
+    # the exchange (``exchange.run`` would be parallel too).
     db = _db_with_rows(10000, workers=4)
     plan = _plan(db, "SELECT a FROM t WHERE b = 2")
     exchange = plan
     while not isinstance(exchange, ExchangeNode):
         exchange = exchange.child
-    rows = list(exchange.run(ExecContext(vectorized=False)))
-    assert len(rows) == sum(1 for i in range(10000) if i % 7 == 2)
+    assert len(exchange._morsels(ExecContext())) > 1
+    parallel = run_plan_rows(exchange, ExecContext())
+    serial = run_plan_rows(exchange.child, ExecContext())
+    assert parallel == serial
+    assert len(serial) == sum(1 for i in range(10000) if i % 7 == 2)
 
 
 # -- aggregate-state merging -------------------------------------------------

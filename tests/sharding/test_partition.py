@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import datetime
+import threading
 
 import pytest
 
 import repro
 from repro.errors import ExecutionError, PermError
-from repro.sharding.partition import Partitioner, shard_of
+from repro.sharding.partition import Partitioner, _localize, shard_of
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,37 @@ def test_strings_are_deterministic_and_in_range():
 def test_bool_hashes_as_int():
     assert shard_of(True, 4) == shard_of(1, 4)
     assert shard_of(False, 4) == shard_of(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# shard-local row copies
+
+
+def test_localize_copies_picklable_rows():
+    rows = [(1, "a", datetime.date(1997, 1, 1)), (2, None, None)]
+    copied = _localize(rows)
+    assert copied == rows
+    assert copied[0] is not rows[0]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [lambda: 1, threading.Lock()],  # PicklingError/AttributeError, TypeError
+    ids=["lambda", "lock"],
+)
+def test_localize_keeps_shared_rows_when_a_value_cannot_pickle(value):
+    rows = [(1, value)]
+    assert _localize(rows) is rows
+
+
+class _Broken:
+    def __reduce__(self):
+        raise RuntimeError("not a pickling problem")
+
+
+def test_localize_surfaces_other_failures():
+    with pytest.raises(RuntimeError, match="not a pickling problem"):
+        _localize([(1, _Broken())])
 
 
 # ---------------------------------------------------------------------------

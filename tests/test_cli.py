@@ -119,20 +119,20 @@ def test_polynomial_provenance_command():
     assert "shop(Merdies,3)" in result.stdout
 
 
-def test_no_vectorize_flag():
+def test_no_vectorize_flag_is_gone():
+    # There is one engine, so there is no flag to choose another.
     result = run_cli(
         "--example", "--no-vectorize",
         "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
     )
-    assert result.returncode == 0
-    assert "prov_shop_name" in result.stdout
+    assert result.returncode == 2
+    assert "unrecognized arguments: --no-vectorize" in result.stderr
 
 
-def test_interactive_vectorize_toggle_and_explain_analyze():
+def test_interactive_explain_analyze():
     script = (
         "\\vectorize off\n"
         "SELECT name FROM shop;\n"
-        "\\vectorize on\n"
         "\\explain+ SELECT PROVENANCE name FROM shop\n"
         "\\q\n"
     )
@@ -144,8 +144,8 @@ def test_interactive_vectorize_toggle_and_explain_analyze():
         timeout=120,
     )
     assert result.returncode == 0
-    assert "vectorized execution: off" in result.stdout
-    assert "vectorized execution: on" in result.stdout
+    assert "unknown meta command '\\\\vectorize'" in result.stdout
+    assert "Merdies" in result.stdout
     assert "physical plan (analyzed, vectorized)" in result.stdout
     assert "actual rows=" in result.stdout
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.errors import AnalyzeError, CatalogError, ExecutionError, PermError
+from repro.errors import (
+    AnalyzeError,
+    CatalogError,
+    ExecutionError,
+    PermError,
+    TypeMismatchError,
+)
 
 
 @pytest.fixture
@@ -53,6 +59,49 @@ def test_insert_expression_values(db):
     import datetime
 
     assert db.execute("SELECT * FROM t").rows == [(2, datetime.date(1995, 2, 1))]
+
+
+def _date_tables(db):
+    db.execute("CREATE TABLE t (n integer, d date)")
+    db.execute("CREATE TABLE src (n integer, txt text)")
+
+
+def test_insert_values_coerces_date_text(db):
+    import datetime
+
+    _date_tables(db)
+    db.execute("INSERT INTO t VALUES (1, '1997-01-01'), (2, NULL)")
+    assert db.catalog.table("t").raw_rows() == [
+        (1, datetime.date(1997, 1, 1)),
+        (2, None),
+    ]
+    # A stored str would make this comparison raise a raw TypeError.
+    assert db.execute("SELECT n FROM t WHERE d < DATE '1998-01-01'").rows == [(1,)]
+
+
+def test_insert_select_coerces_date_text(db):
+    import datetime
+
+    _date_tables(db)
+    db.execute("INSERT INTO src VALUES (3, '1996-05-05')")
+    db.execute("INSERT INTO t (d, n) SELECT txt, n FROM src")
+    assert db.catalog.table("t").raw_rows() == [(3, datetime.date(1996, 5, 5))]
+    assert db.execute("SELECT n FROM t WHERE d > DATE '1996-01-01'").rows == [(3,)]
+
+
+def test_insert_values_rejects_non_date_text(db):
+    _date_tables(db)
+    with pytest.raises(TypeMismatchError, match="column 'd' is DATE"):
+        db.execute("INSERT INTO t VALUES (1, '1997-01-01'), (2, '1997-13-01')")
+    assert db.catalog.table("t").raw_rows() == []  # no partial insert
+
+
+def test_insert_select_rejects_non_date_text(db):
+    _date_tables(db)
+    db.execute("INSERT INTO src VALUES (1, '1997-01-01'), (2, 'soon')")
+    with pytest.raises(TypeMismatchError, match="got 'soon'"):
+        db.execute("INSERT INTO t SELECT n, txt FROM src")
+    assert db.catalog.table("t").raw_rows() == []
 
 
 def test_select_into_creates_table(db):
