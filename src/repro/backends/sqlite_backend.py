@@ -33,7 +33,6 @@ from repro.datatypes import Interval, SQLType, parse_date
 from repro.errors import BackendUnsupportedError, ExecutionError
 from repro.analyzer.query_tree import Query
 from repro.backends.base import ExecutionBackend, collect_base_relations
-from repro.semiring.minting import mint_variable
 from repro.semiring.polynomial import Polynomial
 from repro.sql.deparse import SqliteDialect, deparse_query, get_dialect
 
@@ -136,31 +135,15 @@ def _udf(fn):
     return wrapped
 
 
-def _poly_token(relation, *identity):
-    return Polynomial.variable(mint_variable(relation, identity)).to_wire()
+def _on_wires(fn):
+    """Like :func:`_udf`, for functions whose arguments are polynomials."""
 
+    def wrapped(*wires):
+        return to_sqlite_value(
+            fn(*[None if w is None else Polynomial.from_wire(w) for w in wires])
+        )
 
-def _poly_mul(*factors):
-    product = Polynomial.one()
-    for factor in factors:
-        if factor is None:
-            return None
-        product = product * Polynomial.from_wire(factor)
-    return product.to_wire()
-
-
-def _poly_one():
-    return Polynomial.one().to_wire()
-
-
-def _poly_monus(left, right):
-    # NULL subtrahend = nothing to remove (LEFT JOIN miss), as in the
-    # Python engine's perm_poly_monus.
-    if left is None:
-        return None
-    if right is None:
-        return left
-    return Polynomial.from_wire(left).monus(Polynomial.from_wire(right)).to_wire()
+    return wrapped
 
 
 class _PolySum:
@@ -298,9 +281,14 @@ class SqliteBackend(ExecutionBackend):
             con.create_function(
                 f"perm_{name}", -1, _udf(SCALAR_FUNCTIONS[name]), deterministic=True
             )
-        # Provenance-polynomial primitives (wire-string domain).
-        con.create_function("perm_poly_token", -1, _poly_token, deterministic=True)
-        con.create_function("perm_poly_mul", -1, _poly_mul, deterministic=True)
-        con.create_function("perm_poly_one", 0, _poly_one, deterministic=True)
-        con.create_function("perm_poly_monus", 2, _poly_monus, deterministic=True)
+        # Provenance-polynomial primitives: the engine's own functions,
+        # with polynomials travelling as wire strings.
+        for name, adapter in (
+            ("perm_poly_token", _udf),
+            ("perm_poly_one", _udf),
+            ("perm_poly_mul", _on_wires),
+            ("perm_poly_monus", _on_wires),
+        ):
+            adapted = adapter(SCALAR_FUNCTIONS[name])
+            con.create_function(name, -1, adapted, deterministic=True)
         con.create_aggregate("perm_poly_sum", 1, _PolySum)

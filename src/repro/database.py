@@ -47,6 +47,7 @@ from repro.analyzer.query_tree import Query
 from repro.executor.context import ExecContext
 from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import PlanNode
+from repro.gc_pause import collector_paused
 from repro.planner import make_planner
 from repro.sql import ast
 from repro.sql.parser import parse_sql
@@ -174,6 +175,7 @@ class PreparedQuery:
     compile_seconds: float
     rewrite_seconds: float = 0.0
 
+    @collector_paused
     def run(self) -> QueryResult:
         from repro.executor.nodes import run_plan_rows
         from repro.storage.chunk import DEFAULT_BATCH_SIZE
@@ -498,6 +500,7 @@ class PermDatabase:
 
     # -- statement execution ---------------------------------------------------
 
+    @collector_paused
     def execute(self, sql: str) -> QueryResult:
         """Execute one or more ``;``-separated statements.
 
@@ -541,6 +544,7 @@ class PermDatabase:
         """Alias of :meth:`execute` for read queries."""
         return self.execute(sql)
 
+    @collector_paused
     def provenance(self, sql: str, semantics: Optional[str] = None) -> QueryResult:
         """Compute the provenance of a plain SELECT.
 
@@ -636,6 +640,7 @@ class PermDatabase:
             for table in self.catalog.tables()
         }
 
+    @collector_paused
     def compile_select(self, sql: str, provenance: Optional[str] = None) -> Query:
         """Frontend pipeline only: parse → analyze → rewrite → optimize.
 
@@ -672,6 +677,7 @@ class PermDatabase:
             return CompiledViewAnswer(view_name=view.name, query=query)
         return query
 
+    @collector_paused
     def run_compiled(
         self,
         query: Query,
@@ -729,6 +735,7 @@ class PermDatabase:
                 return view.result()
         return None
 
+    @collector_paused
     def explain(self, sql: str, analyze: bool = False) -> str:
         """Logical query trees (before/after optimization) + physical plan.
 

@@ -243,42 +243,12 @@ def _cast_date(v):
     return parse_date(str(v))
 
 
-# -- provenance polynomial primitives (repro.semiring) ----------------------
+# -- provenance polynomial primitives --------------------------------------
 #
-# Emitted only by the polynomial rewrite strategy; they give annotations a
-# path through ordinary plan nodes: token minting at scans, products at
-# joins (sums live in the perm_poly_sum aggregate).
+# Emitted only by the polynomial rewrite strategy; one copy in
+# repro.semiring, shared with the SQLite backend.
 
-from repro.semiring.minting import mint_variable as _mint_variable
-from repro.semiring.polynomial import Polynomial as _Polynomial
-
-
-def _poly_token(relation, *identity):
-    return _Polynomial.variable(_mint_variable(relation, identity))
-
-
-def _poly_mul(*factors):
-    product = _Polynomial.one()
-    for factor in factors:
-        if factor is None:
-            return None
-        product = product * factor
-    return product
-
-
-def _poly_one():
-    return _Polynomial.one()
-
-
-def _poly_monus(left, right):
-    # A NULL subtrahend means "no matching derivations to remove" (the
-    # LEFT JOIN the EXCEPT rewrite emits produced no right-side row), so
-    # it subtracts nothing rather than poisoning the annotation.
-    if left is None:
-        return None
-    if right is None:
-        return left
-    return left.monus(right)
+from repro.semiring.polynomial import Polynomial, poly_monus, poly_mul, poly_token
 
 
 SCALAR_FUNCTIONS: dict[str, Callable] = {
@@ -308,10 +278,10 @@ SCALAR_FUNCTIONS: dict[str, Callable] = {
     "cast_text": _null_guard(_text),
     "cast_date": _null_guard(_cast_date),
     "cast_boolean": _null_guard(bool),
-    "perm_poly_token": _poly_token,
-    "perm_poly_mul": _poly_mul,
-    "perm_poly_one": _poly_one,
-    "perm_poly_monus": _poly_monus,
+    "perm_poly_token": poly_token,
+    "perm_poly_mul": poly_mul,
+    "perm_poly_one": Polynomial.one,
+    "perm_poly_monus": poly_monus,
 }
 
 
@@ -523,7 +493,10 @@ class ExprCompiler:
         if len(compiled) == 2:
             arg0, arg1 = compiled
             return lambda row, ctx: fn(arg0(row, ctx), arg1(row, ctx))
-        return lambda row, ctx: fn(*(c(row, ctx) for c in compiled))
+        if len(compiled) == 3:  # e.g. a token over a 2-column identity
+            arg0, arg1, arg2 = compiled
+            return lambda row, ctx: fn(arg0(row, ctx), arg1(row, ctx), arg2(row, ctx))
+        return lambda row, ctx: fn(*[c(row, ctx) for c in compiled])
 
     def _compile_Aggref(self, expr: ex.Aggref) -> CompiledExpr:
         raise PlanError(

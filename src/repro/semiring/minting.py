@@ -21,10 +21,28 @@ from typing import Any, Sequence
 
 from repro.datatypes import format_value
 
+#: Characters that would make an unquoted text value ambiguous inside
+#: ``relation(v1,v2,...)``.
+_TEXT_DELIMITERS = frozenset(",()'")
+
+
+def _render_identity_value(value: Any) -> str:
+    """:func:`format_value`, except where it would merge distinct values."""
+    if type(value) is int:  # the common key column, first
+        return str(value)
+    if isinstance(value, float):
+        short = f"{value:.6g}"
+        return short if float(short) == value else repr(value)
+    if isinstance(value, str):
+        if value == "NULL" or not _TEXT_DELIMITERS.isdisjoint(value):
+            return "'" + value.replace("'", "''") + "'"
+        return value
+    return format_value(value)
+
 
 def mint_variable(relation: str, values: Sequence[Any]) -> str:
     """The variable name for one base tuple: ``relation(v1,v2,...)``."""
-    rendered = ",".join(format_value(v) for v in values)
+    rendered = ",".join(map(_render_identity_value, values))
     return f"{relation}({rendered})"
 
 
@@ -43,7 +61,3 @@ class TupleVariableMinter:
         if schema is not None and schema.primary_key:
             return [schema.column_index(name) for name in schema.primary_key]
         return list(range(len(rte.column_names)))
-
-    @staticmethod
-    def mint(relation: str, values: Sequence[Any]) -> str:
-        return mint_variable(relation, values)

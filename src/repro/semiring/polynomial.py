@@ -14,11 +14,19 @@ with collected coefficients), so structurally different derivations of the
 same polynomial compare and hash equal.  Instances are immutable and
 usable as SQL values: they flow through plan nodes, group keys and set
 operations like any other cell value.
+
+Only outside input (``Polynomial(mapping)``, :meth:`from_wire`) is
+normalized; the operations build canonical results via :func:`_canonical`.
 """
 
 from __future__ import annotations
 
+import json
+from functools import reduce
+from operator import mul
 from typing import Any, Callable, Iterable, Mapping, Optional, TYPE_CHECKING
+
+from repro.semiring.minting import mint_variable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.semiring.semirings import Semiring
@@ -26,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # A monomial maps variables to positive exponents; canonically a tuple of
 # (variable, exponent) pairs sorted by variable name.
 Monomial = tuple[tuple[str, int], ...]
+Terms = tuple[tuple[Monomial, int], ...]
 
 _CONSTANT_MONOMIAL: Monomial = ()
 
@@ -46,9 +55,7 @@ class Polynomial:
                 if coefficient:
                     key = _normalize_monomial(monomial)
                     normalized[key] = normalized.get(key, 0) + coefficient
-        self._terms: tuple[tuple[Monomial, int], ...] = tuple(
-            sorted(normalized.items())
-        )
+        self._terms: Terms = tuple(sorted(normalized.items()))
         self._hash = hash(self._terms)
 
     # -- constructors -------------------------------------------------------
@@ -66,7 +73,7 @@ class Polynomial:
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         """The polynomial consisting of one tuple variable."""
-        return cls({((name, 1),): 1})
+        return _canonical(((((name, 1),), 1),))
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
@@ -77,18 +84,15 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms = dict(self._terms)
-        for monomial, coefficient in other._terms:
-            terms[monomial] = terms.get(monomial, 0) + coefficient
-        return Polynomial(terms)
+        return Polynomial.sum_all((self, other))
 
     @classmethod
     def sum_all(cls, polynomials: Iterable["Polynomial"]) -> "Polynomial":
-        """The semiring sum of many polynomials in one normalization pass.
+        """The semiring sum of many polynomials in one pass.
 
         Equivalent to folding ``+`` (addition is associative and
         commutative, and the result is canonical either way) but O(total
-        terms) instead of re-normalizing the growing partial sum at every
+        terms) instead of re-sorting the growing partial sum at every
         step — the accumulation pattern of the vectorized
         ``perm_poly_sum`` aggregate over a whole column.
         """
@@ -97,17 +101,18 @@ class Polynomial:
         for polynomial in polynomials:
             for monomial, coefficient in polynomial._terms:
                 terms[monomial] = get(monomial, 0) + coefficient
-        return cls(terms)
+        return _canonical(tuple(sorted(terms.items())))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         terms: dict[Monomial, int] = {}
+        get = terms.get
         for left_monomial, left_coeff in self._terms:
             for right_monomial, right_coeff in other._terms:
                 merged = _multiply_monomials(left_monomial, right_monomial)
-                terms[merged] = terms.get(merged, 0) + left_coeff * right_coeff
-        return Polynomial(terms)
+                terms[merged] = get(merged, 0) + left_coeff * right_coeff
+        return _canonical(tuple(sorted(terms.items())))
 
     def monus(self, other: "Polynomial") -> "Polynomial":
         """The m-semiring difference ``self ⊖ other`` on ``N[X]``.
@@ -135,7 +140,8 @@ class Polynomial:
                 terms[monomial] = remaining
             else:
                 terms.pop(monomial, None)
-        return Polynomial(terms)
+        # Only existing monomials were lowered or dropped: still sorted.
+        return _canonical(tuple(terms.items()))
 
     def covers(self, other: "Polynomial") -> bool:
         """True iff ``other ≤ self`` in the natural order (coefficient-wise).
@@ -193,8 +199,6 @@ class Polynomial:
         strings and GROUP BY / DISTINCT over wire values behaves exactly
         like GROUP BY / DISTINCT over the polynomials themselves.
         """
-        import json
-
         payload = [
             [[[variable, exponent] for variable, exponent in monomial], coefficient]
             for monomial, coefficient in self._terms
@@ -204,8 +208,6 @@ class Polynomial:
     @classmethod
     def from_wire(cls, text: str) -> "Polynomial":
         """Parse a string produced by :meth:`to_wire`."""
-        import json
-
         try:
             payload = json.loads(text)
             terms = {
@@ -294,6 +296,15 @@ def _normalize_monomial(monomial: Iterable[tuple[str, int]]) -> Monomial:
     return tuple(sorted(exponents.items()))
 
 
+def _canonical(terms: Terms) -> Polynomial:
+    """Trusted constructor: ``terms`` are sorted by monomial with positive
+    coefficients, each monomial sorted by variable with positive exponents."""
+    polynomial = object.__new__(Polynomial)
+    polynomial._terms = terms
+    polynomial._hash = hash(terms)
+    return polynomial
+
+
 def _multiply_monomials(left: Monomial, right: Monomial) -> Monomial:
     exponents = dict(left)
     for variable, exponent in right:
@@ -320,5 +331,30 @@ def _render_term(monomial: Monomial, coefficient: int) -> str:
     return body if coefficient == 1 else f"{coefficient}*{body}"
 
 
-_ZERO = Polynomial()
-_ONE = Polynomial({_CONSTANT_MONOMIAL: 1})
+_ZERO = _canonical(())
+_ONE = _canonical(((_CONSTANT_MONOMIAL, 1),))
+
+
+# -- SQL primitives ------------------------------------------------------------
+#
+# The ``perm_poly_*`` functions the polynomial rewrite emits: token minting
+# at scans, products at joins and the EXCEPT monus (``perm_poly_one`` is
+# :meth:`Polynomial.one`; sums live in the ``perm_poly_sum`` aggregate).
+# Both execution backends call these; SQLite through wire-string adapters.
+
+
+def poly_token(relation: str, *identity: Any) -> Polynomial:
+    """The variable of one base tuple, built in normal form."""
+    return _canonical(((((mint_variable(relation, identity), 1),), 1),))
+
+
+def poly_mul(*factors: Optional[Polynomial]) -> Optional[Polynomial]:
+    """The product of the factors, folded from the first; NULL if any is."""
+    return None if None in factors else reduce(mul, factors)
+
+
+def poly_monus(left: Optional[Polynomial], right: Optional[Polynomial]):
+    # A NULL subtrahend means "no matching derivations to remove" (the
+    # LEFT JOIN the EXCEPT rewrite emits produced no right-side row), so
+    # it subtracts nothing rather than poisoning the annotation.
+    return left if left is None or right is None else left.monus(right)
