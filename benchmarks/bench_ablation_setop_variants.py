@@ -18,7 +18,7 @@ from benchmarks._support import fmt_seconds, tpch_db
 from benchmarks.conftest import run_once
 from repro.analyzer.analyzer import Analyzer
 from repro.core.rewriter import traverse_query_tree
-from repro.planner.planner import Planner
+from repro.planner import Planner
 from repro.executor.context import ExecContext
 from repro.sql.parser import parse_statement
 from repro.workloads import setop_queries

@@ -19,7 +19,7 @@ Two claims from the serving PR are measured here:
    QPS and p50/p99/max latency from the client side plus the server's
    own counters.
 
-Methodology matches ``bench_planner``: warm both configurations first,
+Methodology: warm both configurations first,
 interleave per repetition, keep per-configuration minima, collect
 garbage before each timing window.  ``PERM_BENCH_QUICK=1`` shrinks the
 query set, client count, and repeat count for the CI smoke job.

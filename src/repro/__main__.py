@@ -15,7 +15,6 @@ Inside the shell, end statements with ``;``.  Meta commands:
 * ``\\explain+ <query>`` additionally execute the plan and annotate
   every node with actual row/batch counts and wall time,
 * ``\\optimize [on|off]`` show or toggle the logical optimizer,
-* ``\\costbased [on|off]`` show or toggle cost-based planning,
 * ``\\parallel [off|N]`` show or set morsel-driven parallel workers,
 * ``\\analyze [table]`` collect planner statistics (ANALYZE),
 * ``\\stats`` statement-cache counters + collected table statistics,
@@ -88,13 +87,11 @@ def _build_database(args: argparse.Namespace) -> repro.PermDatabase:
         elif args.backend != "python":
             db.set_backend(args.backend)
         db.optimizer_enabled = not args.no_optimize
-        db.cost_based_enabled = not args.no_cost_based
         db.parallel_executor = args.executor
         return db
     db = repro.connect(
         backend=args.backend,
         optimize=not args.no_optimize,
-        cost_based=not args.no_cost_based,
         parallel_executor=args.executor,
         shards=args.shards,
         shard_keys=shard_keys,
@@ -192,16 +189,6 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
             return True
         state = "on" if db.optimizer_enabled else "off"
         print(f"logical optimizer: {state}")
-        return True
-    if command == "\\costbased":
-        choice = rest.strip().lower()
-        if choice in ("on", "off"):
-            db.cost_based_enabled = choice == "on"
-        elif choice:
-            print("usage: \\costbased [on|off]")
-            return True
-        state = "on" if db.cost_based_enabled else "off"
-        print(f"cost-based planning: {state}")
         return True
     if command == "\\parallel":
         choice = rest.strip().lower()
@@ -370,7 +357,7 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
     print(
         "unknown meta command "
         f"{command!r} (\\q, \\d, \\rewrite, \\explain, \\explain+, "
-        "\\optimize, \\costbased, \\parallel, \\analyze, "
+        "\\optimize, \\parallel, \\analyze, "
         "\\stats, \\matviews, \\semirings, \\backend, \\shards, \\server, "
         "\\wal, \\checkpoint)"
     )
@@ -393,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-optimize", action="store_true",
                         help="disable the logical optimizer (plan the "
                              "rewritten tree verbatim)")
-    parser.add_argument("--no-cost-based", action="store_true",
-                        help="plan with the legacy heuristic join ordering "
-                             "instead of the statistics-driven cost model")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="morsel-driven parallel workers (1 = serial, "
                              "0 = one per core)")
@@ -459,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     print("Perm repro shell -- SELECT PROVENANCE ... to compute provenance.")
     print(
         "\\q quit, \\d relations, \\rewrite <q>, \\explain[+] <q>, "
-        "\\optimize [on|off], \\costbased [on|off], "
+        "\\optimize [on|off], "
         "\\parallel [off|N], \\analyze [table], \\stats, \\matviews, "
         "\\semirings, \\backend [name], \\shards, "
         "\\server [start|stats|stop]"

@@ -9,10 +9,10 @@ plan, fuses scan→filter→project chains into generated kernels, and the
 engine pulls columnar :class:`~repro.storage.chunk.Chunk` batches
 through ``run_batches``.
 
-Planning is **cost-based** by default: the statistics-driven
-:class:`~repro.planner.physical.CostBasedPlanner` picks join orders and
-operator strategies from ANALYZE statistics.  ``cost_based=False``
-selects the legacy heuristic planner, kept as the differential baseline.
+Planning is cost-based: the one :class:`~repro.planner.Planner` picks
+join orders and operator strategies from ANALYZE statistics.  The
+parallel settings come from the owning database's
+:class:`~repro.backends.base.EngineConfig` (:meth:`configure`).
 """
 
 from __future__ import annotations
@@ -40,62 +40,49 @@ class PythonBackend(ExecutionBackend):
     #: Bound on the number of cached physical plans.
     PLAN_CACHE_SIZE = 64
 
-    #: Constant: every plan runs batch-at-a-time with fused pipelines
-    #: (callers that plan like this backend still read the names).
+    #: Constant: there is one planner, and every plan runs
+    #: batch-at-a-time with fused pipelines (callers that plan like this
+    #: backend still read the names).
+    cost_based = True
     vectorize = True
     fuse_pipelines = True
 
-    def __init__(
-        self,
-        catalog: "Catalog",
-        cost_based: bool = True,
-        parallel_workers: int = 1,
-        morsel_size: Optional[int] = None,
-        parallel_executor: str = "thread",
-    ) -> None:
+    def __init__(self, catalog: "Catalog") -> None:
         super().__init__(catalog)
-        self.cost_based = cost_based
-        #: Fan-out for morsel-driven parallel scans (1 = serial).
-        #: ``None`` resolves to the host CPU count at plan time.  Only
-        #: the cost-based planner parallelizes.
-        self.parallel_workers = parallel_workers
         #: Morsel granularity override (None = repro.parallel default).
-        self.morsel_size = morsel_size
-        #: Worker-pool strategy for exchange dispatch: ``thread``
-        #: (default), ``process`` (fork-based, GIL-free), ``serial``.
-        self.parallel_executor = parallel_executor
+        self.morsel_size: Optional[int] = None
         # Physical plans keyed by query-tree identity.  Plans are
         # re-runnable because all per-execution state (materialized
         # spools, sublink memos) lives in the ExecContext; the cached
         # Query reference keeps the id() key from being recycled.  DDL
         # invalidates via the catalog epoch, fresh statistics via the
-        # stats epoch; cost-based/parallel toggles via the key.
+        # stats epoch; the execution settings via the key.
         self._plan_cache: dict[tuple, tuple[Query, object]] = {}
         self._plan_cache_epochs: tuple = (-1, -1)
         # Server sessions share one backend across handler threads, so
         # cache maintenance (epoch flush, LRU eviction) is serialized.
         self._plan_cache_lock = threading.Lock()
 
-    def _resolved_workers(self) -> int:
-        from repro.parallel import resolve_worker_count
+    @property
+    def parallel_workers(self) -> Optional[int]:
+        """Morsel fan-out from :attr:`config` (``None`` = one per core)."""
+        return self.config.parallel_workers
 
-        return resolve_worker_count(self.parallel_workers)
+    @property
+    def parallel_executor(self) -> str:
+        """Exchange worker-pool strategy from :attr:`config`."""
+        return self.config.parallel_executor
 
     def _plan(self, query: Query):
+        from repro.parallel import resolve_worker_count
         from repro.planner import make_planner
 
-        workers = self._resolved_workers()
+        config = self.config
         epochs = (
             getattr(self.catalog, "epoch", None),
             getattr(self.catalog, "stats_epoch", None),
         )
-        key = (
-            id(query),
-            self.cost_based,
-            workers,
-            self.morsel_size,
-            self.parallel_executor,
-        )
+        key = (id(query), config, self.morsel_size)
         with self._plan_cache_lock:
             if epochs != self._plan_cache_epochs:
                 self._plan_cache.clear()
@@ -105,10 +92,9 @@ class PythonBackend(ExecutionBackend):
             return entry[1]
         plan = make_planner(
             self.catalog,
-            cost_based=self.cost_based,
-            parallel_workers=workers,
+            parallel_workers=resolve_worker_count(config.parallel_workers),
             morsel_size=self.morsel_size,
-            parallel_executor=self.parallel_executor,
+            parallel_executor=config.parallel_executor,
         ).plan(query)
         with self._plan_cache_lock:
             if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
@@ -141,8 +127,7 @@ class PythonBackend(ExecutionBackend):
         )
 
     def describe(self) -> str:
-        planner = "cost-based" if self.cost_based else "heuristic"
         return (
-            f"in-process Python planner/executor (vectorized, {planner} planner, "
+            "in-process Python planner/executor (vectorized, cost-based planner, "
             "reference semantics)"
         )

@@ -25,7 +25,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.query_tree import Query
+from repro.backends.base import EngineConfig
 from repro.executor.context import ExecContext
 from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import PlanNode
@@ -285,7 +286,6 @@ class PermDatabase:
         provenance_module_enabled: bool = True,
         backend: "BackendSpec" = "python",
         optimize: bool = True,
-        cost_based: bool = True,
         statement_cache_size: int = 64,
         parallel_workers: int = 1,
         parallel_executor: str = "thread",
@@ -298,12 +298,12 @@ class PermDatabase:
     ) -> None:
         from repro.backends import create_backend
 
+        # Validated before anything else is built: a bad setting fails
+        # here, not at the first query that would use it.
+        self._config = EngineConfig(parallel_workers, parallel_executor)
         self.catalog = Catalog()
         self.provenance_module_enabled = provenance_module_enabled
         self.optimizer_enabled = optimize
-        self._cost_based = cost_based
-        self._parallel_workers = parallel_workers
-        self._parallel_executor = parallel_executor
         #: Refresh stale ANALYZE statistics automatically once a table
         #: grows past the catalog's auto-ANALYZE threshold.
         self.auto_analyze_enabled = auto_analyze
@@ -320,9 +320,7 @@ class PermDatabase:
                 )
 
         self._backend = create_backend(backend, self.catalog)
-        self._propagate_cost_based()
-        self._propagate_parallel()
-        self._propagate_executor()
+        self._backend.configure(self._config)
         self._stmt_cache = _StatementCache(statement_cache_size)
         # Durability last: attaching recovers any existing WAL directory
         # by replaying statements through this (fully constructed) db.
@@ -354,29 +352,9 @@ class PermDatabase:
         from repro.backends import create_backend
 
         replacement = create_backend(backend, self.catalog)
+        replacement.configure(self._config)
         self._backend.close()
         self._backend = replacement
-        self._propagate_cost_based()
-        self._propagate_parallel()
-        self._propagate_executor()
-
-    # -- cost-based planning toggle ---------------------------------------------
-
-    @property
-    def cost_based_enabled(self) -> bool:
-        """Whether the Python planner makes statistics-driven cost-based
-        choices (join order, operator selection); ``False`` selects the
-        legacy heuristic planner, kept for differential testing."""
-        return self._cost_based
-
-    @cost_based_enabled.setter
-    def cost_based_enabled(self, value: bool) -> None:
-        self._cost_based = bool(value)
-        self._propagate_cost_based()
-
-    def _propagate_cost_based(self) -> None:
-        if hasattr(self._backend, "cost_based"):
-            self._backend.cost_based = self._cost_based
 
     # -- morsel-driven parallelism ----------------------------------------------
 
@@ -385,21 +363,17 @@ class PermDatabase:
         """Fan-out for morsel-driven parallel query execution.
 
         ``1`` (the default) keeps execution fully serial; ``N > 1`` lets
-        the cost-based planner insert exchange operators that run
-        parallel-safe scan pipelines on ``N`` worker threads
-        (:mod:`repro.parallel`); ``None`` resolves to the host CPU
-        count.  Only the Python backend parallelizes.
+        the planner insert exchange operators that run parallel-safe
+        scan pipelines on ``N`` worker threads (:mod:`repro.parallel`);
+        ``None`` resolves to the host CPU count.  Only the Python
+        backend parallelizes.
         """
-        return self._parallel_workers
+        return self._config.parallel_workers
 
     @parallel_workers.setter
     def parallel_workers(self, value) -> None:
-        self._parallel_workers = value
-        self._propagate_parallel()
-
-    def _propagate_parallel(self) -> None:
-        if hasattr(self._backend, "parallel_workers"):
-            self._backend.parallel_workers = self._parallel_workers
+        self._config = replace(self._config, parallel_workers=value)
+        self._backend.configure(self._config)
 
     @property
     def parallel_executor(self) -> str:
@@ -411,21 +385,12 @@ class PermDatabase:
         back; ``serial`` disables concurrent dispatch while keeping the
         exchange/scatter plumbing (differential oracle).
         """
-        return self._parallel_executor
+        return self._config.parallel_executor
 
     @parallel_executor.setter
     def parallel_executor(self, value: str) -> None:
-        if value not in ("thread", "process", "serial"):
-            raise PermError(
-                f"unknown parallel executor {value!r} "
-                "(expected thread, process or serial)"
-            )
-        self._parallel_executor = value
-        self._propagate_executor()
-
-    def _propagate_executor(self) -> None:
-        if hasattr(self._backend, "parallel_executor"):
-            self._backend.parallel_executor = self._parallel_executor
+        self._config = replace(self._config, parallel_executor=value)
+        self._backend.configure(self._config)
 
     # -- statistics (ANALYZE) ---------------------------------------------------
 
@@ -594,7 +559,6 @@ class PermDatabase:
             self.catalog.stats_epoch,
             self.provenance_module_enabled,
             self.optimizer_enabled,
-            self._cost_based,
         )
 
     def cache_stats(self) -> dict[str, int]:
@@ -766,10 +730,9 @@ class PermDatabase:
 
         plan = make_planner(
             self.catalog,
-            cost_based=self._cost_based,
-            parallel_workers=resolve_worker_count(self._parallel_workers),
+            parallel_workers=resolve_worker_count(self._config.parallel_workers),
             morsel_size=getattr(self._backend, "morsel_size", None),
-            parallel_executor=self._parallel_executor,
+            parallel_executor=self._config.parallel_executor,
         ).plan(query)
         describe_scatter = getattr(self._backend, "describe_scatter", None)
         if describe_scatter is not None:
@@ -901,7 +864,7 @@ class PermDatabase:
     def _prepare_select(self, stmt: ast.SelectNode) -> PreparedQuery:
         start = time.perf_counter()
         query, rewrite_seconds = self._analyze_and_rewrite(stmt)
-        plan = make_planner(self.catalog, cost_based=self._cost_based).plan(query)
+        plan = make_planner(self.catalog).plan(query)
         compile_seconds = time.perf_counter() - start
         return PreparedQuery(
             plan=plan,
@@ -1186,7 +1149,6 @@ def connect(
     provenance_module_enabled: bool = True,
     backend: "BackendSpec" = "python",
     optimize: bool = True,
-    cost_based: bool = True,
     parallel_workers: int = 1,
     parallel_executor: str = "thread",
     shards: Optional[int] = None,
@@ -1203,15 +1165,16 @@ def connect(
     optimization phase" configuration, kept for benchmarks and tests.
     The Python engine always runs batch-at-a-time with scan→filter→
     project chains fused into generated kernels (``docs/executor.md``).
-    ``cost_based=False`` plans with the legacy heuristic join ordering
-    instead of the statistics-driven cost model (the planner's own
-    differential baseline).
+    Planning is cost-based: one planner orders joins and picks operators
+    from ANALYZE statistics (``docs/planner.md``).
     ``parallel_workers=N`` (N > 1, or ``None`` for one per core) turns
     on morsel-driven parallel execution of eligible scan pipelines;
     the default 1 keeps execution serial.
     ``parallel_executor="process"`` dispatches morsels and shard
     scatter on fork-based worker processes (GIL-free) instead of the
-    shared thread pool.  ``auto_analyze=False`` disables automatic
+    shared thread pool; an unknown executor name or a non-integer
+    worker count raises :class:`~repro.errors.PermError` here.
+    ``auto_analyze=False`` disables automatic
     refresh of stale ANALYZE statistics.
 
     ``shards=N`` runs queries on the hash-partitioned sharded backend:
@@ -1235,7 +1198,6 @@ def connect(
         provenance_module_enabled=provenance_module_enabled,
         backend=backend,
         optimize=optimize,
-        cost_based=cost_based,
         parallel_workers=parallel_workers,
         parallel_executor=parallel_executor,
         shards=shards,

@@ -80,11 +80,10 @@ class PlanNode:
     """Base class for physical plan nodes.
 
     ``estimate`` is the planner's cardinality estimate for this node's
-    output (statistics-driven under the cost-based planner, magic
-    constants under the heuristic one); ``EXPLAIN`` renders it as
-    ``est=`` next to actual rows.  ``batch_size_hint`` (set on plan
-    roots by the cost-based planner) bounds the chunk size by the
-    largest estimated intermediate.
+    output (statistics-driven); ``EXPLAIN`` renders it as ``est=`` next
+    to actual rows.  ``batch_size_hint`` (set on plan roots by the
+    planner) bounds the chunk size by the largest estimated
+    intermediate.
     """
 
     output_names: list[str]

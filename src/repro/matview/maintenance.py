@@ -253,7 +253,7 @@ def _evaluate(
         from repro.optimizer import optimize_query_tree
 
         planned = optimize_query_tree(rewritten)
-    plan = make_planner(catalog, cost_based=db.cost_based_enabled).plan(planned)
+    plan = make_planner(catalog).plan(planned)
     ctx = ExecContext(
         batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE, snapshot=snapshot
     )

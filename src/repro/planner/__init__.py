@@ -7,19 +7,13 @@ A three-stage pipeline:
    join-conjunct pool);
 2. :mod:`repro.planner.stats` / :mod:`repro.planner.cost` — ANALYZE
    statistics and the selectivity/cardinality model estimated over it;
-3. :mod:`repro.planner.physical` — cost-based operator choices emit the
-   executable plan (:class:`CostBasedPlanner`, the default), with the
-   legacy magic-constant path in :mod:`repro.planner.heuristic` kept
-   reachable for differential testing.
+3. :mod:`repro.planner.physical` — the one :class:`Planner` makes the
+   cost-based operator choices and emits the executable plan.
 """
 
 from typing import Optional
 
-from repro.planner.heuristic import HeuristicPlanner
-from repro.planner.physical import CostBasedPlanner, PlannerBase
-
-#: The default planner class.
-Planner = CostBasedPlanner
+from repro.planner.physical import Planner
 
 
 def make_planner(
@@ -32,30 +26,22 @@ def make_planner(
     morsel_size: Optional[int] = None,
     fuse_pipelines: bool = True,
     parallel_executor: str = "thread",
-) -> PlannerBase:
-    """The configured planner: cost-based (default) or legacy heuristic.
+) -> Planner:
+    """A root :class:`Planner` configured for one statement.
 
-    ``parallel_workers > 1`` enables the cost-based planner's
-    exchange-insertion post-pass (morsel-driven parallelism,
-    :mod:`repro.parallel`); the heuristic planner always plans serial —
-    it is the differential oracle for the parallel paths.
+    ``parallel_workers > 1`` enables the exchange-insertion post-pass
+    (morsel-driven parallelism, :mod:`repro.parallel`);
     ``parallel_executor`` picks the worker-pool strategy exchanges
     dispatch on (``thread`` / ``process`` / ``serial``).
-    ``vectorize`` and ``fuse_pipelines`` are accepted and ignored: every
-    plan runs batch-at-a-time with fused scan→filter→project kernels.
+    ``cost_based``, ``vectorize`` and ``fuse_pipelines`` are accepted and
+    ignored: there is one planner, and every plan runs batch-at-a-time
+    with fused scan→filter→project kernels.
     """
-    cls = CostBasedPlanner if cost_based else HeuristicPlanner
-    planner = cls(catalog, outer_varmaps, shared)
+    planner = Planner(catalog, outer_varmaps, shared)
     planner.parallel_workers = parallel_workers
     planner.morsel_size = morsel_size
     planner.parallel_executor = parallel_executor
     return planner
 
 
-__all__ = [
-    "CostBasedPlanner",
-    "HeuristicPlanner",
-    "Planner",
-    "PlannerBase",
-    "make_planner",
-]
+__all__ = ["Planner", "make_planner"]

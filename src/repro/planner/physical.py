@@ -1,27 +1,16 @@
 """Stage 3 of the planner pipeline: logical join graphs -> physical plans.
 
-:class:`PlannerBase` owns all plan-*emission* machinery — compiling
-expressions against slot layouts, building scans/joins/aggregates,
-sublink and set-operation planning, shared-subplan materialization, the
-aggregation-fusion shape — while delegating the plan-*choice* questions
-to hooks:
-
-* :meth:`PlannerBase._order_joins` — in which order the free inner-join
-  set is joined;
-* :meth:`PlannerBase._choose_sides` — which input builds the hash table;
-* :meth:`PlannerBase._make_slice` — how far projections are pushed down;
-* the ``_annotate_*`` hooks — the cardinality estimates written onto
-  every emitted node (rendered as ``est=`` by ``EXPLAIN``).
-
-:class:`CostBasedPlanner` (the default) answers them with the
-statistics-driven cost model of :mod:`repro.planner.cost`: exact
-dynamic-programming join ordering over operand subsets (greedy operator
-ordering above ``DP_MAX_RELATIONS`` operands), build-side swapping,
-late-materialization slice pushdown through hash joins, width-driven
-column- vs row-backed join output, and batch sizes bounded by the
-largest estimated intermediate.  The legacy heuristic answers live in
-:mod:`repro.planner.heuristic` and stay reachable through
-``PermDatabase(cost_based=False)``.
+:class:`Planner` compiles expressions against slot layouts, builds
+scans/joins/aggregates, plans sublinks and set operations, materializes
+shared subplans and emits the aggregation-fusion shape.  Every plan
+choice comes from the statistics-driven cost model of
+:mod:`repro.planner.cost`: exact dynamic-programming join ordering over
+operand subsets (greedy operator ordering above ``DP_MAX_RELATIONS``
+operands), build-side swapping, late-materialization slice pushdown
+through hash joins, width-driven column- vs row-backed join output, and
+batch sizes bounded by the largest estimated intermediate.  Every
+emitted node carries its cardinality estimate (rendered as ``est=`` by
+``EXPLAIN``).
 
 The plan output layout always equals the query's *full* target list
 (including resjunk sort entries); junk columns are sliced away at the
@@ -89,40 +78,29 @@ def _slot_column(slot: int):
 class _Unit:
     """A placed or placeable join operand: subplan + var layout.
 
-    ``from_subquery`` marks units derived from subquery RTEs (directly or
-    inside an outer-join subtree); the heuristic join order attaches them
-    last.  ``scope`` (cost-based planning only) maps ``(varno, varattno)``
-    to the :class:`~repro.planner.stats.ColumnStats` of the base column a
-    slot carries, threaded through joins and subquery target lists so the
+    ``scope`` maps ``(varno, varattno)`` to the
+    :class:`~repro.planner.stats.ColumnStats` of the base column a slot
+    carries, threaded through joins and subquery target lists so the
     cost model can see NDVs and value ranges across operator boundaries.
     """
 
-    __slots__ = (
-        "plan",
-        "varmap",
-        "rtindexes",
-        "from_subquery",
-        "scope",
-        "range_bounds",
-    )
+    __slots__ = ("plan", "varmap", "rtindexes", "scope", "range_bounds")
 
     def __init__(
         self,
         plan: PlanNode,
         varmap: VarMap,
         rtindexes: set[int],
-        from_subquery: bool = False,
         scope: Optional[dict] = None,
     ) -> None:
         self.plan = plan
         self.varmap = varmap
         self.rtindexes = rtindexes
-        self.from_subquery = from_subquery
         self.scope = scope
         # Tightest stats-backed range-bound selectivities pushed so far,
         # per column: (varno, attno) -> {'lo': s, 'hi': s, 'applied': s}.
-        # The cost-based planner pairs opposite bounds on one column so
-        # their interval mass replaces the independence product.
+        # The planner pairs opposite bounds on one column so their
+        # interval mass replaces the independence product.
         self.range_bounds: Optional[dict] = None
 
 
@@ -195,8 +173,41 @@ def _expr_parallel_safe(expr: ex.Expr) -> bool:
     )
 
 
-class PlannerBase:
-    """Shared plan-emission machinery; subclasses answer the choices."""
+class Planner:
+    """Statistics-driven physical planning.
+
+    Decisions and the estimates behind them:
+
+    * **Join order** — exact dynamic programming over operand subsets
+      (DPsub) up to :data:`DP_MAX_RELATIONS` operands: the bushy tree
+      with the smallest summed per-join score (estimated output plus
+      evaluation work), connected joins strictly before cross products.
+      Larger sets fall back to greedy operator ordering (GOO), which
+      merges the cheapest pair by the same score round by round.  Both
+      price candidates from per-conjunct facts classified once per
+      ordering problem (:meth:`_order_joins`).  This is what routes
+      TPC-H Q9's provenance core through the selective ``part`` filter
+      before touching ``lineitem``, and joins Q7's two ``nation`` scans
+      on their OR-of-name-pairs condition first (25×25 pairs, ~2
+      survivors) instead of last.
+    * **Build side** — inner hash joins build on the smaller estimated
+      input.
+    * **Late materialization** — projections push through hash joins
+      (key slots remapped onto the narrowed inputs), so dropped columns
+      never ride through the join.
+    * **Output backing** — narrow inner hash joins feeding an
+      aggregation emit column-backed chunks; wide provenance joins keep
+      the row-backed concatenation path.
+    * **Batch size** — bounded by the largest estimated intermediate,
+      so a fanning-out join streams bounded chunks instead of
+      table-sized ones.
+    """
+
+    #: Column-backed join output pays off only while the per-column
+    #: gather loops stay cheaper than one row concatenation per match.
+    COLUMNAR_OUTPUT_MAX_WIDTH = 8
+    #: Floor for cost-bounded batch sizes.
+    MIN_BATCH_SIZE = 4096
 
     #: Morsel-parallel fan-out for the exchange-insertion post-pass
     #: (:mod:`repro.parallel.planning`); 1 disables it.  Set by
@@ -216,6 +227,8 @@ class PlannerBase:
         outer_varmaps: Optional[list[VarMap]] = None,
         shared: Optional[_SharedSubplans] = None,
     ) -> None:
+        from repro.planner.cost import CostModel
+
         self.catalog = catalog
         self.outer_varmaps = list(outer_varmaps or [])
         # Root planners (fresh shared-subplan registry) own statement-
@@ -227,47 +240,11 @@ class PlannerBase:
         # (parallel to its visible+junk target list); consumed by parent
         # planners to thread stats through subquery boundaries.
         self.output_stats: Optional[list] = None
+        self._cost = CostModel(catalog)
 
-    def _spawn(self, outer_varmaps: Optional[list[VarMap]] = None) -> "PlannerBase":
-        """A child planner of the same concrete class."""
-        return type(self)(self.catalog, outer_varmaps, self.shared)
-
-    # -- decision hooks (answered by subclasses) ------------------------------
-
-    def _order_joins(self, units: list[_Unit], pool: list[ex.Expr]) -> _Unit:
-        """Join the free inner-join set; consumes the conjunct pool."""
-        raise NotImplementedError
-
-    def _choose_sides(
-        self, left: _Unit, right: _Unit, join_type: str, conjuncts: list[ex.Expr]
-    ) -> tuple[_Unit, _Unit]:
-        """Probe/build side assignment (the build side is the right)."""
-        return left, right
-
-    def _annotate_scan(self, unit: _Unit, rte: RangeTableEntry) -> None:
-        """Estimate/statistics bookkeeping for a fresh scan unit."""
-
-    def _annotate_join(
-        self,
-        unit: _Unit,
-        left: _Unit,
-        right: _Unit,
-        join_type: str,
-        conjuncts: list[ex.Expr],
-        estimate: Optional[float] = None,
-    ) -> None:
-        """Estimate/statistics bookkeeping for a fresh join unit
-        (``estimate``: the output estimate, when join ordering already
-        priced this very join)."""
-
-    def _annotate_aggregate(
-        self, node: PlanNode, query: Query, joined: _Unit
-    ) -> None:
-        """Estimate bookkeeping for a fresh aggregation node."""
-
-    def _finalize_plan(self, plan: PlanNode) -> PlanNode:
-        """Last look at a finished (sub)plan root."""
-        return plan
+    def _spawn(self, outer_varmaps: Optional[list[VarMap]] = None) -> "Planner":
+        """A child planner sharing this statement's subplan registry."""
+        return Planner(self.catalog, outer_varmaps, self.shared)
 
     # -- public API -----------------------------------------------------------
 
@@ -283,7 +260,21 @@ class PlannerBase:
         """
         from repro.executor.fusion import fuse_pipelines
 
-        return fuse_pipelines(self._plan_query(query, joined))
+        plan = fuse_pipelines(self._plan_query(query, joined))
+        if self._root and self.parallel_workers > 1:
+            # Statement-level parallelization: wrap parallel-safe
+            # scan→filter→project(→partial-aggregate) pipelines in
+            # exchange nodes.  Root planners only — the pass reaches
+            # subquery plans through the finished tree.
+            from repro.parallel.planning import insert_exchanges
+
+            plan = insert_exchanges(
+                plan,
+                self.parallel_workers,
+                self.morsel_size,
+                strategy=self.parallel_executor,
+            )
+        return plan
 
     def _plan_query(
         self, query: Query, joined: Optional["_Unit"] = None
@@ -292,26 +283,27 @@ class PlannerBase:
             self.output_stats = None
             plan = self._plan_setop_query(query)
             plan = self._apply_sort(query, plan)
-            plan = self._apply_limit(query, plan)
-            return self._finalize_plan(self._slice_junk(query, plan))
-        # SELECT DISTINCT with ORDER BY expressions outside the select
-        # list: sort the junk-extended projection first, slice the junk,
-        # then deduplicate — DistinctNode keeps first occurrences, so the
-        # output is ordered by each distinct row's first sort position.
-        defer_distinct = query.distinct and any(
-            t.resjunk for t in query.target_list
-        )
-        plan = self._plan_plain_query(
-            query, skip_distinct=defer_distinct, joined=joined
-        )
-        if defer_distinct:
+            plan = self._slice_junk(query, self._apply_limit(query, plan))
+        else:
+            # SELECT DISTINCT with ORDER BY expressions outside the select
+            # list: sort the junk-extended projection first, slice the
+            # junk, then deduplicate — DistinctNode keeps first
+            # occurrences, so the output is ordered by each distinct
+            # row's first sort position.
+            defer_distinct = query.distinct and any(
+                t.resjunk for t in query.target_list
+            )
+            plan = self._plan_plain_query(
+                query, skip_distinct=defer_distinct, joined=joined
+            )
             plan = self._apply_sort(query, plan)
-            plan = self._slice_junk(query, plan)
-            plan = DistinctNode(plan)
-            return self._finalize_plan(self._apply_limit(query, plan))
-        plan = self._apply_sort(query, plan)
-        plan = self._apply_limit(query, plan)
-        return self._finalize_plan(self._slice_junk(query, plan))
+            if defer_distinct:
+                plan = DistinctNode(self._slice_junk(query, plan))
+                plan = self._apply_limit(query, plan)
+            else:
+                plan = self._slice_junk(query, self._apply_limit(query, plan))
+        plan.batch_size_hint = self._batch_size_hint()
+        return plan
 
     # -- helpers shared with the expression compiler ----------------------------
 
@@ -320,7 +312,7 @@ class PlannerBase:
             return self._plan_shared_subquery(query)
         return self._spawn(outer_varmaps).plan(query)
 
-    def _sub_planner(self) -> "PlannerBase":
+    def _sub_planner(self) -> "Planner":
         """A child planner for closed subqueries (no enclosing layouts)."""
         return self._spawn()
 
@@ -365,10 +357,12 @@ class PlannerBase:
         order costs less than a stack of filters — or wraps the unit's
         plan in a fresh FilterNode.  The node carrying it records the
         analyzed conjunct beside the kernel (``fusion``), which the
-        fusion pass re-emits as inline source.
+        fusion pass re-emits as inline source.  The unit's estimate
+        shrinks by the conjunct's estimated selectivity.
         """
         from repro.executor.nodes import SeqScan
 
+        before = max(unit.plan.estimate, 1.0)
         kernel = self._compiler(unit.varmap).compile_batch(conjunct)
         plan = unit.plan
         if isinstance(plan, (SeqScan, FilterNode)):
@@ -377,7 +371,6 @@ class PlannerBase:
                 plan.fusion = (unit.varmap, [conjunct])
             else:
                 plan.fusion[1].append(conjunct)
-            plan.estimate = max(plan.estimate * 0.25, 1.0)
         else:
             plan = unit.plan = FilterNode(plan, [kernel])
             plan.fusion = (unit.varmap, [conjunct])
@@ -385,6 +378,26 @@ class PlannerBase:
             # The node now carrying this conjunct must not run inside a
             # morsel worker.
             plan.parallel_safe = False
+        sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
+        bound = self._cost.range_bound(conjunct, unit.scope)
+        if bound is not None:
+            # Re-derive this column's combined selectivity from the
+            # tightest bounds seen so far and apply only the delta, so
+            # ``col >= lo AND col < hi`` contributes the interval mass
+            # rather than the product of two large marginals.
+            key, kind, bound_sel = bound
+            if unit.range_bounds is None:
+                unit.range_bounds = {}
+            bucket = unit.range_bounds.setdefault(key, {"applied": 1.0})
+            bucket[kind] = min(bound_sel, bucket.get(kind, 1.0))
+            lo, hi = bucket.get("lo"), bucket.get("hi")
+            if lo is not None and hi is not None:
+                desired = self._cost.combine_range_bounds(lo, hi)
+            else:
+                desired = lo if lo is not None else hi
+            sel = desired / bucket["applied"]
+            bucket["applied"] = desired
+        plan.estimate = max(before * sel, 1.0)
 
     def _project_node(
         self,
@@ -437,11 +450,41 @@ class PlannerBase:
             # structurally identical ones share one materialized plan.
             plan = self._plan_shared_subquery(rte.subquery)
         varmap = {(rtindex, attno): attno for attno in range(rte.width())}
-        unit = _Unit(
-            plan, varmap, {rtindex}, from_subquery=rte.kind is RTEKind.SUBQUERY
-        )
+        unit = _Unit(plan, varmap, {rtindex})
         self._annotate_scan(unit, rte)
         return unit
+
+    def _annotate_scan(self, unit: _Unit, rte: RangeTableEntry) -> None:
+        """Row estimate and column-statistics scope of a fresh scan unit."""
+        if rte.kind is RTEKind.RELATION:
+            table = self.catalog.table(rte.relation_name)
+            unit.plan.estimate = float(max(table.row_count(), 1))
+            stats = self.catalog.stats_for(rte.relation_name)
+            if stats is not None:
+                rtindex = next(iter(unit.rtindexes))
+                names = (
+                    rte.schema.column_names
+                    if rte.schema is not None
+                    else rte.column_names
+                )
+                unit.scope = {
+                    (rtindex, attno): stats.column(name)
+                    for attno, name in enumerate(names)
+                }
+            self.shared.max_scan_rows = max(
+                self.shared.max_scan_rows, unit.plan.estimate
+            )
+            return
+        # Subquery scan: the child planner already estimated the plan;
+        # thread its per-output-column statistics into this scope.
+        stats_list = getattr(unit.plan, "output_stats", None)
+        if stats_list:
+            rtindex = next(iter(unit.rtindexes))
+            unit.scope = {
+                (rtindex, position): column_stats
+                for position, column_stats in enumerate(stats_list)
+                if column_stats is not None
+            }
 
     # -- plain (A)SPJ queries -----------------------------------------------------------
 
@@ -557,11 +600,7 @@ class PlannerBase:
         for conjunct in louter.right_top:
             self._push_conjunct(right, conjunct)
         return self._join_units(
-            left,
-            right,
-            louter.join_type,
-            list(louter.conditions),
-            from_subquery=left.from_subquery or right.from_subquery,
+            left, right, louter.join_type, list(louter.conditions)
         )
 
     # -- aggregation-join fusion (Query.agg_share) -----------------------------
@@ -657,13 +696,7 @@ class PlannerBase:
                 for p, t in enumerate(target_exprs)
                 if isinstance(t, ex.Var) and t.levelsup == 0
             }
-        return _Unit(
-            join,
-            varmap,
-            {agg_index, prov_index},
-            from_subquery=True,
-            scope=scope,
-        )
+        return _Unit(join, varmap, {agg_index, prov_index}, scope=scope)
 
     # -- join construction --------------------------------------------------------
 
@@ -673,24 +706,33 @@ class PlannerBase:
         right: _Unit,
         join_type: str,
         conjuncts: list[ex.Expr],
-        from_subquery: bool = False,
         estimate: Optional[float] = None,
     ) -> _Unit:
-        """Join two placed units; the single site every join flows through."""
-        left, right = self._choose_sides(left, right, join_type, conjuncts)
+        """Join two placed units; the single site every join flows through.
+
+        ``estimate`` is the output estimate when join ordering already
+        priced this very join.
+        """
+        left, right = self._choose_sides(left, right, join_type)
         merged_map = dict(left.varmap)
         offset = left.plan.width()
         for key, slot in right.varmap.items():
             merged_map[key] = slot + offset
         plan = self._make_join(left, right, merged_map, join_type, conjuncts)
-        unit = _Unit(
-            plan,
-            merged_map,
-            left.rtindexes | right.rtindexes,
-            from_subquery=from_subquery,
+        if estimate is None:
+            estimate = self._cost.join_estimate(left, right, conjuncts, join_type)
+        plan.estimate = estimate
+        scope: dict = {}
+        if left.scope:
+            scope.update(left.scope)
+        if right.scope:
+            scope.update(right.scope)
+        self.shared.max_intermediate_rows = max(
+            self.shared.max_intermediate_rows, estimate
         )
-        self._annotate_join(unit, left, right, join_type, conjuncts, estimate)
-        return unit
+        return _Unit(
+            plan, merged_map, left.rtindexes | right.rtindexes, scope=scope or None
+        )
 
     def _make_join(
         self,
@@ -808,7 +850,21 @@ class PlannerBase:
             for e in [*query.group_clause, *unique_arg_exprs]
         ):
             agg_plan.parallel_safe = False
-        self._annotate_aggregate(agg_plan, query, joined)
+        agg_plan.estimate = self._cost.group_estimate(
+            query.group_clause, joined.scope, max(joined.plan.estimate, 1.0)
+        )
+        # Width-driven backing choice: a narrow residual-free inner hash
+        # join feeding an aggregation emits column-backed chunks — the
+        # aggregate reads whole columns anyway, so skipping the row
+        # concatenation saves one materialization per match.
+        child = joined.plan
+        if (
+            isinstance(child, HashJoin)
+            and child.join_type == "inner"
+            and child.residual is None
+            and child.width() <= self.COLUMNAR_OUTPUT_MAX_WIDTH
+        ):
+            child.columnar_output = True
         post_varmap: VarMap = {
             (_POST_AGG_VARNO, slot): slot for slot in range(group_count + len(aggrefs))
         }
@@ -905,15 +961,19 @@ class PlannerBase:
     def _make_slice(
         self, plan: PlanNode, keep: list[int], names: list[str]
     ) -> PlanNode:
-        """A SliceNode, pushed through unconditional nested loops.
+        """A SliceNode, pushed through hash joins and unconditional
+        nested loops.
 
-        Slicing commutes with a condition-free cross product (the output
-        is left columns followed by right columns) as long as the
-        requested order keeps the sides contiguous, so the rearrangement
-        runs on the operands — typically orders of magnitude fewer rows
-        than the product.  :class:`CostBasedPlanner` extends this with
-        late-materialization pushdown through hash joins.
+        Through a hash join the pushdown is late materialization
+        (:meth:`_push_slice_through_hash_join`).  Slicing commutes with a
+        condition-free cross product (the output is left columns followed
+        by right columns) as long as the requested order keeps the sides
+        contiguous, so the rearrangement runs on the operands — typically
+        orders of magnitude fewer rows than the product.
         """
+        pushed = self._push_slice_through_hash_join(plan, keep, names)
+        if pushed is not None:
+            return pushed
         left_width = plan.left.width() if isinstance(plan, NestedLoopJoin) else 0
         if (
             isinstance(plan, NestedLoopJoin)
@@ -944,174 +1004,13 @@ class PlannerBase:
             return pushed
         return SliceNode(plan, keep, names)
 
+    # -- join ordering --------------------------------------------------------
 
-class CostBasedPlanner(PlannerBase):
-    """Statistics-driven physical planning (the default).
-
-    Decisions and the estimates behind them:
-
-    * **Join order** — exact dynamic programming over operand subsets
-      (DPsub) up to :data:`DP_MAX_RELATIONS` operands: the bushy tree
-      with the smallest summed per-join score (estimated output plus
-      evaluation work), connected joins strictly before cross products.
-      Larger sets fall back to greedy operator ordering (GOO), which
-      merges the cheapest pair by the same score round by round.  Both
-      price candidates from per-conjunct facts classified once per
-      ordering problem (:meth:`_order_joins`).  This is what routes
-      TPC-H Q9's provenance core through the selective ``part`` filter
-      before touching ``lineitem``, and joins Q7's two ``nation`` scans
-      on their OR-of-name-pairs condition first (25×25 pairs, ~2
-      survivors) instead of last.
-    * **Build side** — inner hash joins build on the smaller estimated
-      input.
-    * **Late materialization** — projections push through hash joins
-      (key slots remapped onto the narrowed inputs), so dropped columns
-      never ride through the join.
-    * **Output backing** — narrow inner hash joins feeding an
-      aggregation emit column-backed chunks; wide provenance joins keep
-      the row-backed concatenation path.
-    * **Batch size** — bounded by the largest estimated intermediate,
-      so a fanning-out join streams bounded chunks instead of
-      table-sized ones.
-    """
-
-    #: Column-backed join output pays off only while the per-column
-    #: gather loops stay cheaper than one row concatenation per match.
-    COLUMNAR_OUTPUT_MAX_WIDTH = 8
-    #: Floor for cost-bounded batch sizes.
-    MIN_BATCH_SIZE = 4096
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        outer_varmaps: Optional[list[VarMap]] = None,
-        shared: Optional[_SharedSubplans] = None,
-    ) -> None:
-        super().__init__(catalog, outer_varmaps, shared)
-        from repro.planner.cost import CostModel
-
-        self._cost = CostModel(catalog)
-
-    def plan(self, query: Query, joined: Optional[_Unit] = None) -> PlanNode:
-        plan = super().plan(query, joined)
-        if self._root and self.parallel_workers > 1:
-            # Statement-level parallelization: wrap parallel-safe
-            # scan→filter→project(→partial-aggregate) pipelines in
-            # exchange nodes.  Root planners only — the pass reaches
-            # subquery plans through the finished tree.
-            from repro.parallel.planning import insert_exchanges
-
-            plan = insert_exchanges(
-                plan,
-                self.parallel_workers,
-                self.morsel_size,
-                strategy=self.parallel_executor,
-            )
-        return plan
-
-    # -- estimate/statistics annotations -------------------------------------
-
-    def _annotate_scan(self, unit: _Unit, rte: RangeTableEntry) -> None:
-        if rte.kind is RTEKind.RELATION:
-            table = self.catalog.table(rte.relation_name)
-            unit.plan.estimate = float(max(table.row_count(), 1))
-            stats = self.catalog.stats_for(rte.relation_name)
-            if stats is not None:
-                rtindex = next(iter(unit.rtindexes))
-                names = (
-                    rte.schema.column_names
-                    if rte.schema is not None
-                    else rte.column_names
-                )
-                unit.scope = {
-                    (rtindex, attno): stats.column(name)
-                    for attno, name in enumerate(names)
-                }
-            self.shared.max_scan_rows = max(
-                self.shared.max_scan_rows, unit.plan.estimate
-            )
-            return
-        # Subquery scan: the child planner already estimated the plan;
-        # thread its per-output-column statistics into this scope.
-        stats_list = getattr(unit.plan, "output_stats", None)
-        if stats_list:
-            rtindex = next(iter(unit.rtindexes))
-            unit.scope = {
-                (rtindex, position): column_stats
-                for position, column_stats in enumerate(stats_list)
-                if column_stats is not None
-            }
-
-    def _push_conjunct(self, unit: _Unit, conjunct: ex.Expr) -> None:
-        before = max(unit.plan.estimate, 1.0)
-        super()._push_conjunct(unit, conjunct)
-        sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
-        bound = self._cost.range_bound(conjunct, unit.scope)
-        if bound is not None:
-            # Re-derive this column's combined selectivity from the
-            # tightest bounds seen so far and apply only the delta, so
-            # ``col >= lo AND col < hi`` contributes the interval mass
-            # rather than the product of two large marginals.
-            key, kind, bound_sel = bound
-            if unit.range_bounds is None:
-                unit.range_bounds = {}
-            bucket = unit.range_bounds.setdefault(key, {"applied": 1.0})
-            bucket[kind] = min(bound_sel, bucket.get(kind, 1.0))
-            lo, hi = bucket.get("lo"), bucket.get("hi")
-            if lo is not None and hi is not None:
-                desired = self._cost.combine_range_bounds(lo, hi)
-            else:
-                desired = lo if lo is not None else hi
-            sel = desired / bucket["applied"]
-            bucket["applied"] = desired
-        unit.plan.estimate = max(before * sel, 1.0)
-
-    def _annotate_join(
-        self,
-        unit: _Unit,
-        left: _Unit,
-        right: _Unit,
-        join_type: str,
-        conjuncts: list[ex.Expr],
-        estimate: Optional[float] = None,
-    ) -> None:
-        if estimate is None:
-            estimate = self._cost.join_estimate(left, right, conjuncts, join_type)
-        unit.plan.estimate = estimate
-        scope: dict = {}
-        if left.scope:
-            scope.update(left.scope)
-        if right.scope:
-            scope.update(right.scope)
-        unit.scope = scope or None
-        self.shared.max_intermediate_rows = max(
-            self.shared.max_intermediate_rows, estimate
-        )
-
-    def _annotate_aggregate(
-        self, node: PlanNode, query: Query, joined: _Unit
-    ) -> None:
-        node.estimate = self._cost.group_estimate(
-            query.group_clause, joined.scope, max(joined.plan.estimate, 1.0)
-        )
-        # Width-driven backing choice: a narrow residual-free inner hash
-        # join feeding an aggregation emits column-backed chunks — the
-        # aggregate reads whole columns anyway, so skipping the row
-        # concatenation saves one materialization per match.
-        child = joined.plan
-        if (
-            isinstance(child, HashJoin)
-            and child.join_type == "inner"
-            and child.residual is None
-            and child.width() <= self.COLUMNAR_OUTPUT_MAX_WIDTH
-        ):
-            child.columnar_output = True
-
-    # -- cost-based decisions -------------------------------------------------
-
+    @staticmethod
     def _choose_sides(
-        self, left: _Unit, right: _Unit, join_type: str, conjuncts: list[ex.Expr]
+        left: _Unit, right: _Unit, join_type: str
     ) -> tuple[_Unit, _Unit]:
+        """Probe/build side assignment (the build side is the right)."""
         # The right input builds the hash table (and is spooled by
         # nested loops): put the smaller estimated input there.  Only
         # inner joins may swap — outer join types encode sidedness —
@@ -1291,8 +1190,8 @@ class CostBasedPlanner(PlannerBase):
         pool conjunct touches both sides) strictly before cartesian
         ones — and merges the cheapest, consuming the pool conjuncts
         that became fully covered.  O(n³) pair scoring is irrelevant at
-        SQL join counts; the payoff is bushy orders the left-deep
-        heuristic cannot express.
+        SQL join counts; the payoff is bushy orders a left-deep
+        greedy order cannot express.
         """
         price_join = self._cost.price_join
         remaining = list(units)
@@ -1340,14 +1239,6 @@ class CostBasedPlanner(PlannerBase):
         return current
 
     # -- late-materialization slice pushdown ----------------------------------
-
-    def _make_slice(
-        self, plan: PlanNode, keep: list[int], names: list[str]
-    ) -> PlanNode:
-        pushed = self._push_slice_through_hash_join(plan, keep, names)
-        if pushed is not None:
-            return pushed
-        return super()._make_slice(plan, keep, names)
 
     def _push_slice_through_hash_join(
         self, plan: PlanNode, keep: list[int], names: list[str]
@@ -1423,10 +1314,6 @@ class CostBasedPlanner(PlannerBase):
         return SliceNode(join, positions, names)
 
     # -- batch-size bounding ---------------------------------------------------
-
-    def _finalize_plan(self, plan: PlanNode) -> PlanNode:
-        plan.batch_size_hint = self._batch_size_hint()
-        return plan
 
     def _batch_size_hint(self) -> int:
         """Batch size bounded by the estimated intermediate blow-up.

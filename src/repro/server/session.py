@@ -53,7 +53,6 @@ class Session:
             db.catalog.stats_epoch,
             db.provenance_module_enabled,
             db.optimizer_enabled,
-            db.cost_based_enabled,
         )
 
     def lookup(

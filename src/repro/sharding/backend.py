@@ -18,9 +18,10 @@ typed fallbacks.  Per query it
 4. gather-merges the partials semiring-natively
    (:mod:`repro.sharding.merge`).
 
-Execution-control toggles (cost_based, parallel knobs) fan
-out to the children and the fallback backend so differential behaviour
-matches the unsharded engine.
+:meth:`ShardedBackend.configure` hands the database's
+:class:`~repro.backends.base.EngineConfig` to the children and the
+fallback backend, so they run with the same settings as the unsharded
+engine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.analyzer.query_tree import Query
-from repro.backends.base import ExecutionBackend, collect_base_relations
+from repro.backends.base import EngineConfig, ExecutionBackend, collect_base_relations
 from repro.catalog.catalog import Catalog
 from repro.parallel.dispatch import get_strategy
 from repro.sharding.analysis import FallbackDecision, ScatterDecision, decide
@@ -42,14 +43,6 @@ if TYPE_CHECKING:
 
 #: Scatter decisions retained per backend (mirrors PLAN_CACHE_SIZE).
 DECISION_CACHE_SIZE = 64
-
-#: Toggles mirrored from the database layer onto every child backend.
-_FANOUT_ATTRS = (
-    "cost_based",
-    "parallel_workers",
-    "morsel_size",
-    "parallel_executor",
-)
 
 
 class ShardedBackend(ExecutionBackend):
@@ -78,7 +71,6 @@ class ShardedBackend(ExecutionBackend):
         self.supports_execution_controls = all(
             getattr(c, "supports_execution_controls", False) for c in self.children
         )
-        self.parallel_executor = "thread"
         self._decisions: OrderedDict[int, tuple[Query, Any]] = OrderedDict()
         self._decision_epoch = -1
         self._lock = threading.Lock()
@@ -90,18 +82,10 @@ class ShardedBackend(ExecutionBackend):
         self.shard_queries = [0] * self.partitioner.shards
         self.shard_rows = [0] * self.partitioner.shards
 
-    # ------------------------------------------------------------------
-    # execution-control fan-out
-
-    def _fanout(self, name: str, value: Any) -> None:
+    def configure(self, config: EngineConfig) -> None:
+        super().configure(config)
         for backend in (self.local, *self.children):
-            if hasattr(backend, name):
-                setattr(backend, name, value)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__setattr__(self, name, value)
-        if name in _FANOUT_ATTRS and "children" in self.__dict__:
-            self._fanout(name, value)
+            backend.configure(config)
 
     # ------------------------------------------------------------------
     # decisions
@@ -194,9 +178,10 @@ class ShardedBackend(ExecutionBackend):
         return strategy.map_ordered(tasks)
 
     def _scatter_strategy(self) -> str:
-        if self.parallel_executor == "process" and self.supports_execution_controls:
+        executor = self.config.parallel_executor
+        if executor == "process" and self.supports_execution_controls:
             return "process"
-        if self.parallel_executor == "serial":
+        if executor == "serial":
             return "serial"
         if self.supports_execution_controls:
             # Pure-Python children run CPU-bound kernels that hold the

@@ -10,7 +10,7 @@ import repro
 from repro.analyzer.analyzer import Analyzer
 from repro.core.rewriter import traverse_query_tree
 from repro.executor.context import ExecContext
-from repro.planner.planner import Planner
+from repro.planner import Planner
 from repro.sql.parser import parse_statement
 
 

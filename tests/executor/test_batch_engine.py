@@ -320,38 +320,44 @@ def test_connect_has_no_engine_mode_toggles():
     parameters = inspect.signature(repro.connect).parameters
     assert "vectorize" not in parameters
     assert "fuse_pipelines" not in parameters
-    assert len(parameters) == 12
+    assert "cost_based" not in parameters
+    assert len(parameters) == 11
     database_parameters = inspect.signature(repro.PermDatabase).parameters
     assert "vectorize" not in database_parameters
     assert "fuse_pipelines" not in database_parameters
+    assert "cost_based" not in database_parameters
     db = repro.connect()
     assert not hasattr(db, "vectorize_enabled")
     assert not hasattr(db, "fuse_pipelines_enabled")
+    assert not hasattr(db, "cost_based_enabled")
 
 
 def test_deleted_modes_survive_only_as_ignored_surface():
     # The benchmark harness reaches the engine through these names.
     from repro.backends import PythonBackend
     from repro.planner import make_planner
-    from repro.sharding.backend import _FANOUT_ATTRS
     from repro.sql.parser import parse_sql
     from repro.tpch.dbgen import tpch_database
     from repro.tpch.qgen import generate_query
 
     assert PythonBackend.vectorize is True
     assert PythonBackend.fuse_pipelines is True
-    assert "vectorize" not in _FANOUT_ATTRS
-    assert "fuse_pipelines" not in _FANOUT_ATTRS
+    assert PythonBackend.cost_based is True
     assert ExecContext(vectorized=False).batch_size > 0
 
     db = tpch_database(scale_factor=0.001, seed=42)
+    backend = db.backend
+    assert (backend.parallel_workers, backend.parallel_executor) == (1, "thread")
+    assert backend.morsel_size is None
     for sql in (
         generate_query(3, seed=7, provenance=True),
         "SELECT PROVENANCE n_name FROM nation WHERE n_regionkey = 1",
     ):
         (stmt,) = parse_sql(sql)
         query, _ = db._analyze_and_rewrite(stmt)
-        legacy = make_planner(db.catalog, vectorize=False, fuse_pipelines=False)
+        legacy = make_planner(
+            db.catalog, cost_based=False, vectorize=False, fuse_pipelines=False
+        )
         explained = legacy.plan(query).explain()
         assert explained == make_planner(db.catalog).plan(query).explain()
     assert "FusedPipeline" in explained

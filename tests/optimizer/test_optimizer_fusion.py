@@ -27,7 +27,7 @@ def rewritten(db, sql):
 
 def run_query(db, query):
     from repro.executor.context import ExecContext
-    from repro.planner.planner import Planner
+    from repro.planner import Planner
 
     plan = Planner(db.catalog).plan(query)
     return sorted(map(repr, plan.run(ExecContext())))

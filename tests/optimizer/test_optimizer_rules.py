@@ -46,7 +46,7 @@ def analyze(db, sql):
 
 def run_query(db, query):
     from repro.executor.context import ExecContext
-    from repro.planner.planner import Planner
+    from repro.planner import Planner
 
     plan = Planner(db.catalog).plan(query)
     return sorted(plan.run(ExecContext()))

@@ -86,6 +86,26 @@ def test_executor_name_is_validated():
         db.parallel_executor = "fibers"
 
 
+@pytest.mark.parametrize("sharding", ({}, {"shards": 2}), ids=("plain", "sharded"))
+def test_executor_name_is_validated_at_connect(sharding):
+    # A bad name fails where it is given, not at the first query with an
+    # exchange (or, sharded, never: scatter silently ran serial).
+    with pytest.raises(PermError, match="unknown parallel executor 'fibers'"):
+        repro.connect(parallel_workers=2, parallel_executor="fibers", **sharding)
+    with pytest.raises(PermError, match="unknown parallel executor 'fibers'"):
+        repro.PermDatabase(parallel_executor="fibers", **sharding)
+
+
+def test_sharded_settings_reach_every_child():
+    db = repro.connect(shards=2)
+    db.parallel_workers = 3
+    db.parallel_executor = "process"
+    backend = db.backend
+    for child in (backend.local, *backend.children):
+        assert (child.parallel_workers, child.parallel_executor) == (3, "process")
+    assert "process scatter" in backend.describe()
+
+
 def test_executor_selectable_at_connect():
     db = repro.connect(parallel_workers=2, parallel_executor="process")
     assert db.parallel_executor == "process"

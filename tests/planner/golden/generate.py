@@ -89,7 +89,8 @@ def _key_names(join: HashJoin) -> list[str]:
     ]
 
 
-def rendered() -> dict[str, dict]:
+def rendered(**planner_options) -> dict[str, dict]:
+    """Every case planned by ``make_planner(catalog, **planner_options)``."""
     db = tpch_database(scale_factor=0.001, seed=42)
     entries: dict[str, dict] = {}
     for name, sql in cases().items():
@@ -97,7 +98,7 @@ def rendered() -> dict[str, dict]:
         try:
             query = Analyzer(db.catalog).analyze(parse_sql(sql)[0])
             query = optimize_query_tree(traverse_query_tree(query))
-            plan = make_planner(db.catalog, vectorize=True).plan(query)
+            plan = make_planner(db.catalog, **planner_options).plan(query)
         except PermError as exc:
             entry["shape"] = f"!{type(exc).__name__}: {exc}"
             entry["estimates"] = []

@@ -1,6 +1,6 @@
 """DP-over-subsets join ordering: correctness and plan equivalence.
 
-:class:`CostBasedPlanner` orders free inner-join sets of up to
+:class:`Planner` orders free inner-join sets of up to
 ``DP_MAX_RELATIONS`` operands by exact dynamic programming over subsets
 and falls back to greedy operator ordering (GOO) above the cutoff.  The
 two orderings must be semantically interchangeable — same result
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.planner.physical import CostBasedPlanner
+from repro.planner import Planner
 from repro.tpch.dbgen import tpch_database
 from repro.tpch.qgen import generate_query
 from repro.tpch.queries import SUPPORTED_QUERIES
@@ -24,7 +24,7 @@ from tests.backends.support import assert_same_result
 @pytest.fixture()
 def goo_only(monkeypatch):
     """Force the GOO fallback regardless of operand count."""
-    monkeypatch.setattr(CostBasedPlanner, "DP_MAX_RELATIONS", 1)
+    monkeypatch.setattr(Planner, "DP_MAX_RELATIONS", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def tpch_db():
 def test_tpch_dp_matches_goo(tpch_db, monkeypatch, number, provenance):
     sql = generate_query(number, seed=7, provenance=provenance)
     dp = tpch_db.execute(sql)
-    monkeypatch.setattr(CostBasedPlanner, "DP_MAX_RELATIONS", 1)
+    monkeypatch.setattr(Planner, "DP_MAX_RELATIONS", 1)
     tpch_db._backend._plan_cache.clear()  # force a re-plan under GOO
     goo = tpch_db.execute(sql)
     tag = f"Q{number} {'provenance' if provenance else 'normal'} DP vs GOO"
@@ -53,14 +53,14 @@ def test_tpch_dp_matches_goo(tpch_db, monkeypatch, number, provenance):
 
 def test_dp_cutoff_uses_goo_above_limit(tpch_db, monkeypatch):
     calls = []
-    original = CostBasedPlanner._order_joins_goo
+    original = Planner._order_joins_goo
 
     def spy(self, units, pool):
         calls.append(len(units))
         return original(self, units, pool)
 
-    monkeypatch.setattr(CostBasedPlanner, "_order_joins_goo", spy)
-    monkeypatch.setattr(CostBasedPlanner, "DP_MAX_RELATIONS", 3)
+    monkeypatch.setattr(Planner, "_order_joins_goo", spy)
+    monkeypatch.setattr(Planner, "DP_MAX_RELATIONS", 3)
     tpch_db._backend._plan_cache.clear()
     # Q9 joins six relations: above a cutoff of 3, GOO must take over.
     tpch_db.execute(generate_query(9, seed=7))
@@ -113,15 +113,15 @@ def test_dp_never_costs_more_than_goo(monkeypatch):
 
     def tree_cost(dp: bool) -> float:
         tracked: list[float] = []
-        original_join = CostBasedPlanner._join_units
+        original_join = Planner._join_units
 
         def join_spy(self, left, right, join_type, conjuncts, **kwargs):
             tracked.append(self._cost.pair_score(left, right, conjuncts))
             return original_join(self, left, right, join_type, conjuncts, **kwargs)
 
-        monkeypatch.setattr(CostBasedPlanner, "_join_units", join_spy)
+        monkeypatch.setattr(Planner, "_join_units", join_spy)
         monkeypatch.setattr(
-            CostBasedPlanner, "DP_MAX_RELATIONS", 12 if dp else 1
+            Planner, "DP_MAX_RELATIONS", 12 if dp else 1
         )
         _chain_db().explain(_CHAIN_SQL)
         return sum(tracked)

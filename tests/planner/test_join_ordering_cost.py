@@ -20,7 +20,7 @@ from repro.analyzer import expressions as ex
 from repro.datatypes import SQLType
 from repro.planner import cost, logical, physical
 from repro.planner.cost import WORK_WEIGHT, CostModel
-from repro.planner.physical import CostBasedPlanner
+from repro.planner import Planner
 from repro.planner.stats import ColumnStats
 from repro.tpch.dbgen import tpch_database
 from repro.workloads import setop_queries, spj_queries
@@ -42,7 +42,7 @@ def ordering_problems(monkeypatch):
 
     real_walk = ex.walk
     real_extract = logical.extract_equi_keys
-    real_order = CostBasedPlanner._order_joins
+    real_order = Planner._order_joins
 
     def walk(expr):
         if depth:
@@ -74,7 +74,7 @@ def ordering_problems(monkeypatch):
     monkeypatch.setattr(ex, "walk", walk)
     monkeypatch.setattr(logical, "extract_equi_keys", extract)
     monkeypatch.setattr(physical, "extract_equi_keys", extract)
-    monkeypatch.setattr(CostBasedPlanner, "_order_joins", order)
+    monkeypatch.setattr(Planner, "_order_joins", order)
     return problems
 
 
@@ -104,7 +104,7 @@ def test_each_pool_conjunct_is_read_a_constant_number_of_times(
     tpch_db, ordering_problems, monkeypatch, ordering, statement, shape
 ):
     if ordering == "goo":
-        monkeypatch.setattr(CostBasedPlanner, "DP_MAX_RELATIONS", 1)
+        monkeypatch.setattr(Planner, "DP_MAX_RELATIONS", 1)
     tpch_db.explain(statement())
     assert shape in [problem[:2] for problem in ordering_problems]
     for operands, conjuncts, walks, extracts in ordering_problems:
@@ -144,7 +144,7 @@ def test_one_kernel_prices_every_join(tpch_db, monkeypatch):
     tpch_db.explain(_spj8())
     enumerated = len(calls)
     assert enumerated > 7  # candidate splits, not just the 7 joins built
-    monkeypatch.setattr(CostBasedPlanner, "DP_MAX_RELATIONS", 1)
+    monkeypatch.setattr(Planner, "DP_MAX_RELATIONS", 1)
     tpch_db.explain(_spj8())
     assert len(calls) > enumerated
 

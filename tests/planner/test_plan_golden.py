@@ -26,6 +26,15 @@ def test_same_statements_are_pinned(plans):
     assert stored["setop_mixed8.witness"]["shape"].count("HashJoin") >= 8
 
 
+def test_deleted_planner_modes_plan_the_golden_bytes():
+    # ``cost_based``, ``vectorize`` and ``fuse_pipelines`` are accepted
+    # and ignored (the benchmark harness still passes them), so planning
+    # through them must reproduce the stored file byte for byte.
+    legacy = rendered(cost_based=False, vectorize=False, fuse_pipelines=False)
+    text = json.dumps(legacy, indent=1, sort_keys=True) + "\n"
+    assert text == GOLDEN_PATH.read_text()
+
+
 def test_plan_shapes_and_estimates_match_golden(plans):
     stored = json.loads(GOLDEN_PATH.read_text())
     for name, entry in plans.items():

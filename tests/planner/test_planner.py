@@ -8,7 +8,8 @@ import repro
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer import expressions as ex
 from repro.datatypes import SQLType
-from repro.planner.planner import Planner, conjoin, split_conjuncts
+from repro.planner import Planner
+from repro.planner.logical import conjoin, split_conjuncts
 from repro.sql.parser import parse_statement
 
 
@@ -62,22 +63,6 @@ def test_split_and_conjoin_roundtrip():
     rebuilt = conjoin(parts)
     assert isinstance(rebuilt, ex.BoolOpExpr)
     assert split_conjuncts(rebuilt) == parts
-
-
-def test_heuristic_greedy_join_starts_from_smallest(db):
-    from repro.planner.heuristic import HeuristicPlanner
-
-    db.execute("CREATE TABLE medium (id integer)")
-    db.load_table("medium", [(i,) for i in range(100)])
-    query = Analyzer(db.catalog).analyze(parse_statement(
-        "SELECT 1 FROM big, medium, small "
-        "WHERE big.id = medium.id AND medium.id = small.id",
-    ))
-    plan = HeuristicPlanner(db.catalog).plan(query)
-    # The first (deepest-left) scan should be the smallest relation.
-    text = plan.explain()
-    first_scan = [line for line in text.splitlines() if "SeqScan" in line]
-    assert "small" in first_scan[0] or "small" in text.splitlines()[2]
 
 
 def test_cost_based_join_builds_on_smaller_input(db):

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.analyzer.analyzer import Analyzer
-from repro.planner import CostBasedPlanner, HeuristicPlanner
+from repro.planner import Planner
 from repro.planner.cost import CostModel
 from repro.planner.stats import collect_table_stats
 from repro.sql.parser import parse_statement
@@ -180,10 +180,9 @@ def test_compiler_bugs_in_constant_evaluation_surface(db, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _plan(db, sql, cost_based=True):
+def _plan(db, sql):
     query = Analyzer(db.catalog).analyze(parse_statement(sql))
-    cls = CostBasedPlanner if cost_based else HeuristicPlanner
-    return cls(db.catalog).plan(query)
+    return Planner(db.catalog).plan(query)
 
 
 def test_scan_estimate_uses_live_rowcount_and_stats(db):

@@ -120,18 +120,21 @@ def test_polynomial_provenance_command():
 
 
 def test_no_vectorize_flag_is_gone():
-    # There is one engine, so there is no flag to choose another.
-    result = run_cli(
-        "--example", "--no-vectorize",
-        "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
-    )
-    assert result.returncode == 2
-    assert "unrecognized arguments: --no-vectorize" in result.stderr
+    # There is one engine and one planner, so there is no flag to choose
+    # another.
+    for flag in ("--no-vectorize", "--no-cost-based"):
+        result = run_cli(
+            "--example", flag,
+            "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
+        )
+        assert result.returncode == 2
+        assert f"unrecognized arguments: {flag}" in result.stderr
 
 
 def test_interactive_explain_analyze():
     script = (
         "\\vectorize off\n"
+        "\\costbased off\n"
         "SELECT name FROM shop;\n"
         "\\explain+ SELECT PROVENANCE name FROM shop\n"
         "\\q\n"
@@ -145,18 +148,10 @@ def test_interactive_explain_analyze():
     )
     assert result.returncode == 0
     assert "unknown meta command '\\\\vectorize'" in result.stdout
+    assert "unknown meta command '\\\\costbased'" in result.stdout
     assert "Merdies" in result.stdout
     assert "physical plan (analyzed, vectorized)" in result.stdout
     assert "actual rows=" in result.stdout
-
-
-def test_no_cost_based_flag():
-    result = run_cli(
-        "--example", "--no-cost-based",
-        "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
-    )
-    assert result.returncode == 0
-    assert "prov_shop_name" in result.stdout
 
 
 def test_analyze_statement_command():
@@ -165,11 +160,9 @@ def test_analyze_statement_command():
     assert "shop" in result.stdout
 
 
-def test_interactive_costbased_analyze_and_stats():
+def test_interactive_analyze_and_stats():
     script = (
-        "\\costbased off\n"
         "SELECT name FROM shop;\n"
-        "\\costbased on\n"
         "\\analyze\n"
         "\\stats\n"
         "\\explain+ SELECT PROVENANCE name, sum(itemid) FROM shop, sales "
@@ -184,8 +177,6 @@ def test_interactive_costbased_analyze_and_stats():
         timeout=120,
     )
     assert result.returncode == 0
-    assert "cost-based planning: off" in result.stdout
-    assert "cost-based planning: on" in result.stdout
     assert "analyzed shop" in result.stdout
     assert "table statistics:" in result.stdout
     assert "est=" in result.stdout
