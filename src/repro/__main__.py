@@ -9,12 +9,12 @@ Usage::
 Inside the shell, end statements with ``;``.  Meta commands:
 
 * ``\\q`` quit, ``\\d`` list relations,
-* ``\\rewrite <query>`` print the provenance-rewritten SQL,
+* ``\\rewrite <query>`` print the provenance-rewritten SQL (after the
+  logical optimizer, which always runs),
 * ``\\explain <query>`` print the logical trees (before/after
   optimization) and the physical plan,
 * ``\\explain+ <query>`` additionally execute the plan and annotate
   every node with actual row/batch counts and wall time,
-* ``\\optimize [on|off]`` show or toggle the logical optimizer,
 * ``\\parallel [off|N]`` show or set morsel-driven parallel workers,
 * ``\\analyze [table]`` collect planner statistics (ANALYZE),
 * ``\\stats`` statement-cache counters + collected table statistics,
@@ -86,12 +86,10 @@ def _build_database(args: argparse.Namespace) -> repro.PermDatabase:
             db.set_backend(sharded)
         elif args.backend != "python":
             db.set_backend(args.backend)
-        db.optimizer_enabled = not args.no_optimize
         db.parallel_executor = args.executor
         return db
     db = repro.connect(
         backend=args.backend,
-        optimize=not args.no_optimize,
         parallel_executor=args.executor,
         shards=args.shards,
         shard_keys=shard_keys,
@@ -179,16 +177,6 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
         return True
     if command == "\\explain+":
         print(db.explain(rest, analyze=True))
-        return True
-    if command == "\\optimize":
-        choice = rest.strip().lower()
-        if choice in ("on", "off"):
-            db.optimizer_enabled = choice == "on"
-        elif choice:
-            print("usage: \\optimize [on|off]")
-            return True
-        state = "on" if db.optimizer_enabled else "off"
-        print(f"logical optimizer: {state}")
         return True
     if command == "\\parallel":
         choice = rest.strip().lower()
@@ -357,7 +345,7 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
     print(
         "unknown meta command "
         f"{command!r} (\\q, \\d, \\rewrite, \\explain, \\explain+, "
-        "\\optimize, \\parallel, \\analyze, "
+        "\\parallel, \\analyze, "
         "\\stats, \\matviews, \\semirings, \\backend, \\shards, \\server, "
         "\\wal, \\checkpoint)"
     )
@@ -377,9 +365,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="execute one statement and exit")
     parser.add_argument("--backend", default="python",
                         help="execution backend (python, sqlite)")
-    parser.add_argument("--no-optimize", action="store_true",
-                        help="disable the logical optimizer (plan the "
-                             "rewritten tree verbatim)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="morsel-driven parallel workers (1 = serial, "
                              "0 = one per core)")
@@ -443,7 +428,6 @@ def main(argv: list[str] | None = None) -> int:
     print("Perm repro shell -- SELECT PROVENANCE ... to compute provenance.")
     print(
         "\\q quit, \\d relations, \\rewrite <q>, \\explain[+] <q>, "
-        "\\optimize [on|off], "
         "\\parallel [off|N], \\analyze [table], \\stats, \\matviews, "
         "\\semirings, \\backend [name], \\shards, "
         "\\server [start|stats|stop]"

@@ -3,10 +3,12 @@
 Runs the full pipeline of paper Fig. 5 on every statement::
 
     parser & analyzer -> (view unfolding) -> provenance rewriter
-        -> planner -> executor
+        -> optimizer -> planner -> executor
 
-The provenance rewriter (``repro.core``) is invoked between analysis and
-planning, exactly where the paper places the Perm module: it traverses the
+The stages up to the optimizer are chained in one place,
+:func:`repro.frontend.frontend`.  The provenance rewriter
+(``repro.core``) is invoked between analysis and planning, exactly
+where the paper places the Perm module: it traverses the
 query tree looking for nodes marked ``SELECT PROVENANCE`` and rewrites
 them; unmarked queries pass through untouched.  The
 ``provenance_module_enabled`` switch reproduces the paper's Fig. 9
@@ -48,6 +50,7 @@ from repro.backends.base import EngineConfig
 from repro.executor.context import ExecContext
 from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import PlanNode
+from repro.frontend import frontend, parse_select
 from repro.gc_pause import collector_paused
 from repro.planner import make_planner
 from repro.sql import ast
@@ -218,7 +221,7 @@ class CompiledViewAnswer:
 
 
 class _StatementCache:
-    """Tiny LRU keyed on (sql text, mode, backend, catalog epoch, flags).
+    """Tiny LRU keyed on :meth:`PermDatabase.cache_key`.
 
     Caches analyzed/rewritten/optimized query *trees*, not results: a hit
     skips parse → analyze → rewrite → optimize and goes straight to the
@@ -285,7 +288,6 @@ class PermDatabase:
         self,
         provenance_module_enabled: bool = True,
         backend: "BackendSpec" = "python",
-        optimize: bool = True,
         statement_cache_size: int = 64,
         parallel_workers: int = 1,
         parallel_executor: str = "thread",
@@ -303,7 +305,6 @@ class PermDatabase:
         self._config = EngineConfig(parallel_workers, parallel_executor)
         self.catalog = Catalog()
         self.provenance_module_enabled = provenance_module_enabled
-        self.optimizer_enabled = optimize
         #: Refresh stale ANALYZE statistics automatically once a table
         #: grows past the catalog's auto-ANALYZE threshold.
         self.auto_analyze_enabled = auto_analyze
@@ -415,7 +416,7 @@ class PermDatabase:
     def _maybe_auto_analyze(self) -> None:
         """Auto-ANALYZE hook, run before statement compilation.
 
-        Must run before :meth:`_cache_key` is computed: a refresh bumps
+        Must run before :meth:`cache_key` is computed: a refresh bumps
         the catalog's ``stats_epoch`` (part of every cache key), so a
         statement compiled this call is keyed against the statistics it
         was actually planned with.
@@ -475,11 +476,10 @@ class PermDatabase:
         backend and catalog epoch skips the whole frontend pipeline.
         """
         self._maybe_auto_analyze()
-        key = self._cache_key(sql, "plain")
-        if key is not None:
-            cached = self._stmt_cache.get(key)
-            if cached is not None:
-                return self._run_cached(cached)
+        key = self.cache_key(sql, "plain")
+        cached = self._stmt_cache.get(key)
+        if cached is not None:
+            return self._run_cached(cached)
         statements = parse_sql(sql)
         result = QueryResult(columns=[], rows=[], command="EMPTY")
         cacheable: Optional[Any] = None
@@ -501,7 +501,7 @@ class PermDatabase:
                     cacheable = None
                 if durable:
                     self._durability.log_statement(format_statement(stmt))
-        if key is not None and cacheable is not None:
+        if cacheable is not None:
             self._stmt_cache.put(key, cacheable)
         return result
 
@@ -520,22 +520,16 @@ class PermDatabase:
         semantics.
         """
         self._maybe_auto_analyze()
-        key = self._cache_key(sql, f"prov:{semantics or ''}")
-        if key is not None:
-            cached = self._stmt_cache.get(key)
-            if cached is not None:
-                return self._run_cached(cached)
-        statements = parse_sql(sql)
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast.SelectStmt, ast.SetOpSelect)
-        ):
-            raise PermError("provenance() expects a single SELECT statement")
-        stmt = statements[0]
+        key = self.cache_key(sql, f"prov:{semantics or ''}")
+        cached = self._stmt_cache.get(key)
+        if cached is not None:
+            return self._run_cached(cached)
+        stmt = parse_select(sql, "provenance")
         stmt.provenance = True
         if semantics is not None:
             stmt.provenance_type = semantics
         query, result = self._execute_select(stmt)
-        if key is not None and query is not None:
+        if query is not None:
             self._stmt_cache.put(key, query)
         return result
 
@@ -548,9 +542,11 @@ class PermDatabase:
             return self._serve_matview(self.catalog.matview(cached.view_name))
         return self._backend.run_select(cached)
 
-    def _cache_key(self, sql: str, mode: str) -> Optional[tuple]:
-        if self._stmt_cache.maxsize <= 0:
-            return None
+    def cache_key(self, sql: str, mode: Any) -> tuple:
+        """The key a compiled tree of ``sql`` is cached under, here and in
+        the server's session caches: ``mode`` names how it was compiled
+        (plain or which provenance semantics), and DDL, fresh statistics
+        and the Perm module switch all rotate the key."""
         return (
             sql,
             mode,
@@ -558,7 +554,6 @@ class PermDatabase:
             self.catalog.epoch,
             self.catalog.stats_epoch,
             self.provenance_module_enabled,
-            self.optimizer_enabled,
         )
 
     def cache_stats(self) -> dict[str, int]:
@@ -573,12 +568,7 @@ class PermDatabase:
     def prepare(self, sql: str) -> PreparedQuery:
         """Parse, analyze, provenance-rewrite and plan without executing."""
         self._maybe_auto_analyze()
-        statements = parse_sql(sql)
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast.SelectStmt, ast.SetOpSelect)
-        ):
-            raise PermError("prepare() expects a single SELECT statement")
-        return self._prepare_select(statements[0])
+        return self._prepare_select(parse_select(sql, "prepare"))
 
     # -- compiled execution (server-facing) ---------------------------------
 
@@ -622,12 +612,7 @@ class PermDatabase:
         tree otherwise.
         """
         self._maybe_auto_analyze()
-        statements = parse_sql(sql)
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast.SelectStmt, ast.SetOpSelect)
-        ):
-            raise PermError("compile_select() expects a single SELECT statement")
-        stmt = statements[0]
+        stmt = parse_select(sql, "compile_select")
         if provenance is not None:
             stmt.provenance = True
             stmt.provenance_type = provenance
@@ -705,27 +690,28 @@ class PermDatabase:
 
         Shows the optimizer's work on the provenance-rewritten tree: the
         tree as the rewriter left it, the tree after the rule-based
-        optimizer (when enabled), and the plan the backend-independent
-        planner builds from it.
+        optimizer, and the plan the backend-independent planner builds
+        from it.  The SQL is parsed once.
 
         ``analyze=True`` additionally *executes* the plan (with the
         in-process engine) and annotates every node with actual row
         counts, batch counts and inclusive wall time.
         """
-        from repro.optimizer import format_query_tree, optimize_query_tree
+        from repro.optimizer import format_query_tree
 
-        sections = self._explain_matview_sections(sql)
-        query = self._rewritten_tree(sql, caller="explain")
+        stmt = parse_select(sql, "explain")
+        sections = self._explain_matview_sections(stmt)
+        stages = frontend(self.catalog, stmt, self.provenance_module_enabled)
+        next(stages)
         sections += [
             "-- logical query tree (after rewrite) --",
+            format_query_tree(next(stages)),
+        ]
+        query = next(stages)
+        sections += [
+            "-- logical query tree (after optimization) --",
             format_query_tree(query),
         ]
-        if self.optimizer_enabled:
-            query = optimize_query_tree(query)
-            sections += [
-                "-- logical query tree (after optimization) --",
-                format_query_tree(query),
-            ]
         from repro.parallel import resolve_worker_count
 
         plan = make_planner(
@@ -760,16 +746,10 @@ class PermDatabase:
         ]
         return "\n".join(sections)
 
-    def _explain_matview_sections(self, sql: str) -> list[str]:
+    def _explain_matview_sections(self, stmt: ast.SelectNode) -> list[str]:
         """Explain header when the SQL is answered from a materialized
         provenance view (the tree sections that follow describe the
         fallback pipeline the view replaces)."""
-        statements = parse_sql(sql)
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast.SelectStmt, ast.SetOpSelect)
-        ):
-            return []
-        stmt = statements[0]
         if not getattr(stmt, "provenance", False):
             return []
         view = self.catalog.matview_for_statement(stmt)
@@ -788,22 +768,6 @@ class PermDatabase:
             f"({state}; {len(view.rows)} stored rows; {detail}) --"
         ]
 
-    def _rewritten_tree(self, sql: str, caller: str) -> Query:
-        """Parse a single SELECT, analyze and provenance-rewrite it
-        (shared frontend of :meth:`explain` / :meth:`rewritten_sql` —
-        everything before the optimizer)."""
-        statements = parse_sql(sql)
-        if len(statements) != 1 or not isinstance(
-            statements[0], (ast.SelectStmt, ast.SetOpSelect)
-        ):
-            raise PermError(f"{caller}() expects a single SELECT statement")
-        query = Analyzer(self.catalog).analyze(statements[0])
-        if self.provenance_module_enabled:
-            from repro.core.rewriter import traverse_query_tree
-
-            query = traverse_query_tree(query)
-        return query
-
     def rewritten_sql(
         self,
         sql: str,
@@ -817,17 +781,21 @@ class PermDatabase:
         as ``IS NOT DISTINCT FROM``, which the repro parser re-parses).
         ``dialect`` selects the target syntax (``"postgres"`` — the
         default — or ``"sqlite"``, the form the SQLite backend executes).
-        ``optimized`` controls whether the logical optimizer runs first;
-        ``None`` follows the database setting, so by default the text is
-        exactly what the SQLite backend ships.
+        The text is of the optimized tree (``optimized=None`` or
+        ``True``), exactly what the SQLite backend ships;
+        ``optimized=False`` shows the rewrite as the rewriter left it.
         """
         from repro.sql.deparse import deparse_query, get_dialect
 
-        query = self._rewritten_tree(sql, caller="rewritten_sql")
-        if optimized if optimized is not None else self.optimizer_enabled:
-            from repro.optimizer import optimize_query_tree
-
-            query = optimize_query_tree(query)
+        stages = frontend(
+            self.catalog,
+            parse_select(sql, "rewritten_sql"),
+            self.provenance_module_enabled,
+        )
+        next(stages)
+        query = next(stages)
+        if optimized or optimized is None:
+            query = next(stages)
         chosen = get_dialect(dialect) if dialect is not None else None
         return deparse_query(query, dialect=chosen)
 
@@ -845,21 +813,16 @@ class PermDatabase:
     # -- pipeline ---------------------------------------------------------------------
 
     def _analyze_and_rewrite(self, stmt: ast.SelectNode) -> tuple[Query, float]:
-        """Parse-tree → analyzed, provenance-rewritten, optimized tree."""
-        analyzer = Analyzer(self.catalog)
-        query = analyzer.analyze(stmt)
-        rewrite_seconds = 0.0
-        if self.provenance_module_enabled:
-            from repro.core.rewriter import traverse_query_tree
-
-            rewrite_start = time.perf_counter()
-            query = traverse_query_tree(query)
-            rewrite_seconds = time.perf_counter() - rewrite_start
-        if self.optimizer_enabled:
-            from repro.optimizer import optimize_query_tree
-
-            query = optimize_query_tree(query)
-        return query, rewrite_seconds
+        """Parse tree → analyzed, provenance-rewritten, optimized tree,
+        with the seconds the provenance rewriter took."""
+        stages = frontend(self.catalog, stmt, self.provenance_module_enabled)
+        next(stages)
+        start = time.perf_counter()
+        next(stages)
+        rewrite_seconds = time.perf_counter() - start
+        if not self.provenance_module_enabled:
+            rewrite_seconds = 0.0
+        return next(stages), rewrite_seconds
 
     def _prepare_select(self, stmt: ast.SelectNode) -> PreparedQuery:
         start = time.perf_counter()
@@ -1148,7 +1111,6 @@ class PermDatabase:
 def connect(
     provenance_module_enabled: bool = True,
     backend: "BackendSpec" = "python",
-    optimize: bool = True,
     parallel_workers: int = 1,
     parallel_executor: str = "thread",
     shards: Optional[int] = None,
@@ -1160,9 +1122,10 @@ def connect(
 ) -> PermDatabase:
     """Create a fresh in-memory Perm database.
 
-    ``optimize=False`` disables the logical optimizer (the rewritten
-    query tree is planned/deparsed verbatim) — the paper's "no DBMS
-    optimization phase" configuration, kept for benchmarks and tests.
+    Every SELECT runs the paper's whole frontend — analyze, provenance
+    rewrite, logical optimization (``docs/optimizer.md``) — before it
+    reaches a backend; ``explain()`` and ``rewritten_sql(optimized=False)``
+    show the tree before the optimizer.
     The Python engine always runs batch-at-a-time with scan→filter→
     project chains fused into generated kernels (``docs/executor.md``).
     Planning is cost-based: one planner orders joins and picks operators
@@ -1197,7 +1160,6 @@ def connect(
     return PermDatabase(
         provenance_module_enabled=provenance_module_enabled,
         backend=backend,
-        optimize=optimize,
         parallel_workers=parallel_workers,
         parallel_executor=parallel_executor,
         shards=shards,

@@ -99,7 +99,7 @@ def full_refresh(db: "PermDatabase", view: MaterializedProvenanceView) -> None:
         deps, snapshot = _capture_dependencies(db, view)
         try:
             pre, rewritten, columns, rows = _evaluate(
-                db, view.statement, db.catalog, snapshot
+                view.statement, db.catalog, snapshot
             )
         except ExecutionError as exc:
             if str(exc).startswith("snapshot too old"):
@@ -231,7 +231,6 @@ def _capture_dependencies(
 
 
 def _evaluate(
-    db: "PermDatabase",
     statement,
     catalog,
     snapshot: Optional[dict[int, tuple[int, int]]],
@@ -242,17 +241,11 @@ def _evaluate(
     honors snapshot reads, and delta heaps exist solely in the (shadow)
     catalog — a data-shipping backend would not see them.
     """
-    from repro.core.rewriter import traverse_query_tree
     from repro.executor.nodes import run_plan_rows
+    from repro.frontend import frontend
     from repro.storage.chunk import DEFAULT_BATCH_SIZE
 
-    analyzed = Analyzer(catalog).analyze(statement)
-    rewritten = traverse_query_tree(analyzed)
-    planned = rewritten
-    if db.optimizer_enabled:
-        from repro.optimizer import optimize_query_tree
-
-        planned = optimize_query_tree(rewritten)
+    analyzed, _, planned = frontend(catalog, statement)
     plan = make_planner(catalog).plan(planned)
     ctx = ExecContext(
         batch_size=plan.batch_size_hint or DEFAULT_BATCH_SIZE, snapshot=snapshot
@@ -290,7 +283,7 @@ def _evaluate_delta_terms(
                 shadow = _ShadowCatalog(db.catalog, overrides)
                 try:
                     _, rewritten, columns, rows = _evaluate(
-                        db, view.statement, shadow, snapshot
+                        view.statement, shadow, snapshot
                     )
                 except ExecutionError as exc:
                     if str(exc).startswith("snapshot too old"):

@@ -378,9 +378,10 @@ class Planner:
             # The node now carrying this conjunct must not run inside a
             # morsel worker.
             plan.parallel_safe = False
-        sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
         bound = self._cost.range_bound(conjunct, unit.scope)
-        if bound is not None:
+        if bound is None:
+            sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
+        else:
             # Re-derive this column's combined selectivity from the
             # tightest bounds seen so far and apply only the delta, so
             # ``col >= lo AND col < hi`` contributes the interval mass

@@ -6,8 +6,8 @@ one session, so a client can reconnect and keep its warm
 prepared-statement cache.  Sessions hold *compiled query trees* — the
 output of :meth:`PermDatabase.compile_select`, i.e. the full frontend
 pipeline (parse → analyze → provenance-rewrite → optimize) — keyed by
-(sql, provenance semantics, catalog epoch, stats epoch, pipeline
-flags), so DDL and fresh statistics age entries out naturally.
+:meth:`PermDatabase.cache_key` with the provenance semantics as mode,
+so DDL and fresh statistics age entries out naturally.
 
 All structures here are mutated from executor threads and read from
 the asyncio thread concurrently, hence the per-object locks.
@@ -45,16 +45,6 @@ class Session:
         self._statements: "OrderedDict[tuple, Query]" = OrderedDict()
         self._lock = threading.Lock()
 
-    def _key(self, db: "PermDatabase", sql: str, provenance: Optional[str]) -> tuple:
-        return (
-            sql,
-            provenance,
-            db.catalog.epoch,
-            db.catalog.stats_epoch,
-            db.provenance_module_enabled,
-            db.optimizer_enabled,
-        )
-
     def lookup(
         self, db: "PermDatabase", sql: str, provenance: Optional[str]
     ) -> Optional["Query"]:
@@ -64,7 +54,7 @@ class Session:
         SELECT before deciding between the compiled-snapshot path and
         the general ``execute`` path.
         """
-        key = self._key(db, sql, provenance)
+        key = db.cache_key(sql, provenance)
         with self._lock:
             query = self._statements.get(key)
             if query is not None:
@@ -82,7 +72,7 @@ class Session:
         racing misses for the same statement both compile; last write
         wins, which is correct because compiled trees are equivalent.
         """
-        key = self._key(db, sql, provenance)
+        key = db.cache_key(sql, provenance)
         with self._lock:
             query = self._statements.get(key)
             if query is not None:

@@ -321,15 +321,20 @@ def test_connect_has_no_engine_mode_toggles():
     assert "vectorize" not in parameters
     assert "fuse_pipelines" not in parameters
     assert "cost_based" not in parameters
-    assert len(parameters) == 11
+    assert "optimize" not in parameters
+    assert len(parameters) == 10
     database_parameters = inspect.signature(repro.PermDatabase).parameters
     assert "vectorize" not in database_parameters
     assert "fuse_pipelines" not in database_parameters
     assert "cost_based" not in database_parameters
+    assert "optimize" not in database_parameters
     db = repro.connect()
     assert not hasattr(db, "vectorize_enabled")
     assert not hasattr(db, "fuse_pipelines_enabled")
     assert not hasattr(db, "cost_based_enabled")
+    assert not hasattr(db, "optimizer_enabled")
+    with pytest.raises(TypeError):
+        repro.connect(optimize=False)
 
 
 def test_deleted_modes_survive_only_as_ignored_surface():

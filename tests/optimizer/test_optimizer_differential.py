@@ -1,6 +1,9 @@
-"""Differential property tests: optimizer-on ≡ optimizer-off.
+"""Differential property tests: optimized ≡ unoptimized tree.
 
-The optimizer must be semantically invisible.  Checked over the paper's
+The optimizer must be semantically invisible.  Each statement runs
+through ``db.execute`` (analyze → rewrite → optimize) and, as the
+reference, through analyze → rewrite alone, with no optimizer call,
+executed by the same backend.  Checked over the paper's
 shop/sales/items examples, the TPC-H SF-tiny workload (normal,
 provenance, and polynomial-provenance forms) on both execution backends,
 and hypothesis-generated queries.
@@ -9,11 +12,14 @@ and hypothesis-generated queries.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.analyzer.analyzer import Analyzer
+from repro.core.rewriter import traverse_query_tree
 from repro.errors import BackendUnsupportedError
+from repro.sql.parser import parse_statement
 from repro.tpch.dbgen import tpch_database
 from repro.tpch.qgen import generate_query
 from repro.tpch.queries import SUPPORTED_QUERIES
@@ -48,16 +54,24 @@ _EXAMPLE_QUERIES = (
 )
 
 
+def _unoptimized(db, sql: str) -> repro.QueryResult:
+    """The reference: ``sql`` analyzed and provenance-rewritten, never
+    optimized, on ``db``'s backend."""
+    query = traverse_query_tree(Analyzer(db.catalog).analyze(parse_statement(sql)))
+    return db.backend.run_select(query)
+
+
+def _compare(db, sql, context):
+    assert_same_result(_unoptimized(db, sql), db.execute(sql), context=context)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("sql", _EXAMPLE_QUERIES)
 def test_paper_examples_match(backend, sql):
-    results = []
-    for optimize in (False, True):
-        db = repro.connect(backend=backend, optimize=optimize)
-        for statement in _EXAMPLE_SETUP:
-            db.execute(statement)
-        results.append(db.execute(sql))
-    assert_same_result(results[0], results[1], context=f"{backend}: {sql!r}")
+    db = repro.connect(backend=backend)
+    for statement in _EXAMPLE_SETUP:
+        db.execute(statement)
+    _compare(db, sql, f"{backend}: {sql!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,22 +83,20 @@ def test_paper_examples_match(backend, sql):
 def tpch_dbs():
     databases = {}
     for backend in BACKENDS:
-        for optimize in (False, True):
-            db = tpch_database(scale_factor=0.001, seed=42)
-            db.optimizer_enabled = optimize
-            if backend != "python":
-                db.set_backend(backend)
-            databases[(backend, optimize)] = db
+        db = tpch_database(scale_factor=0.001, seed=42)
+        if backend != "python":
+            db.set_backend(backend)
+        databases[backend] = db
     return databases
 
 
 def _compare_on_off(tpch_dbs, backend, sql, tag):
+    db = tpch_dbs[backend]
     try:
-        reference = tpch_dbs[(backend, False)].execute(sql)
+        reference = _unoptimized(db, sql)
     except BackendUnsupportedError:
         pytest.skip(f"{tag}: unsupported on {backend}")
-    candidate = tpch_dbs[(backend, True)].execute(sql)
-    assert_same_result(reference, candidate, context=tag)
+    assert_same_result(reference, db.execute(sql), context=tag)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -107,8 +119,9 @@ def test_tpch_polynomial_match(tpch_dbs, backend, number):
     sql = generate_query(number, seed=7, provenance=True).replace(
         "SELECT PROVENANCE", "SELECT PROVENANCE (polynomial)", 1
     )
-    reference = tpch_dbs[(backend, False)].execute(sql)
-    candidate = tpch_dbs[(backend, True)].execute(sql)
+    db = tpch_dbs[backend]
+    reference = _unoptimized(db, sql)
+    candidate = db.execute(sql)
     assert_same_result(reference, candidate, context=f"Q{number} poly {backend}")
     assert sorted(map(str, reference.annotations())) == sorted(
         map(str, candidate.annotations())
@@ -134,7 +147,10 @@ _rows_s = st.lists(st.tuples(_value, _value), max_size=5)
 def _queries(draw) -> str:
     shape = draw(
         st.sampled_from(
-            ["spj", "subquery", "agg", "setop", "sublink", "outer", "scalar"]
+            [
+                "spj", "subquery", "agg", "setop", "sublink", "outer",
+                "outer_where", "limit", "null_const", "scalar",
+            ]
         )
     )
     comparison = draw(st.sampled_from(["=", "<", ">", "<=", ">=", "<>"]))
@@ -172,21 +188,61 @@ def _queries(draw) -> str:
             f"(SELECT k2 AS j, w FROM s WHERE w {comparison} {constant}) "
             "AS sub ON k = j"
         )
+    if shape == "outer_where":
+        # A filter over the nullable side of a LEFT JOIN also drops the
+        # null-extended rows, so it must stay above the join.
+        return (
+            f"SELECT {provenance}k, w FROM r LEFT JOIN "
+            "(SELECT DISTINCT k2 AS j, w FROM s) AS sub ON k = j "
+            f"WHERE w {comparison} {constant}"
+        )
+    if shape == "limit":
+        # ``v`` is read only by the subquery's ORDER BY.
+        return (
+            f"SELECT {provenance}a FROM (SELECT k AS a, v FROM r "
+            f"ORDER BY v, k LIMIT {constant}) AS sub"
+        )
+    if shape == "null_const":
+        # Pull-up inlines the NULL placeholder: ``NULL = NULL`` is
+        # unknown, not true.
+        return (
+            f"SELECT {provenance}a FROM (SELECT k AS a, NULL AS b FROM r) "
+            f"AS sub WHERE b = NULL OR a {comparison} {constant}"
+        )
     return (
         f"SELECT {provenance}k FROM r "
         f"WHERE v {comparison} (SELECT max(w) FROM s)"
     )
 
 
+_EXAMPLE_R = [(0, None), (1, 1), (2, 3), (3, 2), (1, 0)]
+_EXAMPLE_S = [(1, 2), (2, 0), (3, 3)]
+
+
 @given(rows_r=_rows_r, rows_s=_rows_s, sql=_queries())
+@example(
+    rows_r=_EXAMPLE_R,
+    rows_s=_EXAMPLE_S,
+    sql="SELECT PROVENANCE k, w FROM r LEFT JOIN "
+    "(SELECT DISTINCT k2 AS j, w FROM s) AS sub ON k = j WHERE w > 1",
+)
+@example(
+    rows_r=_EXAMPLE_R,
+    rows_s=_EXAMPLE_S,
+    sql="SELECT PROVENANCE a FROM (SELECT k AS a, v FROM r "
+    "ORDER BY v, k LIMIT 2) AS sub",
+)
+@example(
+    rows_r=_EXAMPLE_R,
+    rows_s=_EXAMPLE_S,
+    sql="SELECT PROVENANCE a FROM (SELECT k AS a, NULL AS b FROM r) "
+    "AS sub WHERE b = NULL OR a > 1",
+)
 @_SETTINGS
 def test_hypothesis_on_off_equivalence(rows_r, rows_s, sql):
-    results = []
-    for optimize in (False, True):
-        db = repro.connect(optimize=optimize)
-        db.execute("CREATE TABLE r (k integer, v integer)")
-        db.execute("CREATE TABLE s (k2 integer, w integer)")
-        db.load_table("r", rows_r)
-        db.load_table("s", rows_s)
-        results.append(db.execute(sql))
-    assert_same_result(results[0], results[1], context=sql)
+    db = repro.connect()
+    db.execute("CREATE TABLE r (k integer, v integer)")
+    db.execute("CREATE TABLE s (k2 integer, w integer)")
+    db.load_table("r", rows_r)
+    db.load_table("s", rows_s)
+    _compare(db, sql, sql)

@@ -13,7 +13,7 @@ from repro.sql.parser import parse_statement
 
 @pytest.fixture
 def db():
-    database = repro.connect(optimize=False)
+    database = repro.connect()
     database.execute("CREATE TABLE t (a integer, b integer)")
     database.execute("CREATE TABLE u (k integer, v integer)")
     database.load_table("t", [(1, 10), (1, 15), (2, 20), (None, 5)])

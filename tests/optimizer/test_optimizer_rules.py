@@ -32,7 +32,7 @@ from repro.sql.parser import parse_statement
 
 @pytest.fixture
 def db():
-    database = repro.connect(optimize=False)
+    database = repro.connect()
     database.execute("CREATE TABLE t (a integer, b integer, c text)")
     database.execute("CREATE TABLE s (x integer, y integer)")
     database.load_table("t", [(1, 10, "p"), (2, 20, "q"), (2, 25, "q"), (3, 30, "r")])

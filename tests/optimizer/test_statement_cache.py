@@ -68,12 +68,6 @@ def test_backend_switch_changes_key(db):
     db.set_backend("python")
 
 
-def test_optimizer_toggle_changes_key(db):
-    db.execute("SELECT a FROM t")
-    db.optimizer_enabled = False
-    assert sorted(db.execute("SELECT a FROM t").rows) == [(1,), (2,)]
-
-
 def test_cache_disabled(db):
     nocache = repro.PermDatabase(statement_cache_size=0)
     nocache.execute("CREATE TABLE t (a integer)")

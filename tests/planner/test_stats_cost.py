@@ -192,6 +192,25 @@ def test_scan_estimate_uses_live_rowcount_and_stats(db):
     assert plan.estimate == pytest.approx(100, rel=0.1)
 
 
+def test_range_pair_skips_general_selectivity(db, monkeypatch):
+    # Range conjuncts are estimated by ``range_bound`` (paired into one
+    # interval); the general estimate is for conjuncts without a bound.
+    db.analyze()
+    calls = []
+    real = CostModel.conjunct_selectivity
+
+    def counted(self, conjunct, scope):
+        calls.append(conjunct)
+        return real(self, conjunct, scope)
+
+    monkeypatch.setattr(CostModel, "conjunct_selectivity", counted)
+    plan = _plan(db, "SELECT k FROM facts WHERE k >= 10 AND k < 50")
+    assert calls == []
+    assert plan.estimate == pytest.approx(40, rel=0.25)
+    _plan(db, "SELECT k FROM facts WHERE grp = 3 AND k < 50")
+    assert len(calls) == 1
+
+
 def test_join_estimate_fk_shape(db):
     db.execute("CREATE TABLE dims (d integer, name text)")
     db.load_table("dims", [(i, f"d{i}") for i in range(10)])

@@ -46,20 +46,10 @@ def test_ddl_command_tag():
     assert "CREATE TABLE" in result.stdout
 
 
-def test_no_optimize_flag():
-    result = run_cli(
-        "--example", "--no-optimize",
-        "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
-    )
-    assert result.returncode == 0
-    assert "prov_shop_name" in result.stdout
-
-
 def test_interactive_optimize_and_stats():
     script = (
         "\\optimize off\n"
         "SELECT name FROM shop;\n"
-        "\\optimize on\n"
         "\\stats\n"
         "\\explain SELECT PROVENANCE name FROM shop\n"
         "\\q\n"
@@ -72,8 +62,9 @@ def test_interactive_optimize_and_stats():
         timeout=120,
     )
     assert result.returncode == 0
-    assert "logical optimizer: off" in result.stdout
-    assert "logical optimizer: on" in result.stdout
+    # The optimizer always runs: there is no switch to turn it off.
+    assert "unknown meta command '\\\\optimize'" in result.stdout
+    assert "Merdies" in result.stdout
     assert "prepared-statement cache:" in result.stdout
     assert "after optimization" in result.stdout
 
@@ -120,9 +111,9 @@ def test_polynomial_provenance_command():
 
 
 def test_no_vectorize_flag_is_gone():
-    # There is one engine and one planner, so there is no flag to choose
-    # another.
-    for flag in ("--no-vectorize", "--no-cost-based"):
+    # There is one engine, one planner and an optimizer that always
+    # runs, so there is no flag to choose another path.
+    for flag in ("--no-vectorize", "--no-cost-based", "--no-optimize"):
         result = run_cli(
             "--example", flag,
             "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",

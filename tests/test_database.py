@@ -188,6 +188,23 @@ def test_module_disabled_skips_rewrite(db):
     assert prepared.rewrite_seconds == 0.0
 
 
+def test_explain_parses_its_sql_once(db, monkeypatch):
+    from repro.sql import parser
+
+    db.execute("CREATE TABLE t (a integer)")
+    parses = []
+    real = parser._Parser.parse_statements
+
+    def counted(self):
+        parses.append(self)
+        return real(self)
+
+    monkeypatch.setattr(parser._Parser, "parse_statements", counted)
+    text = db.explain("SELECT PROVENANCE a FROM t WHERE a > 1")
+    assert "after optimization" in text
+    assert len(parses) == 1
+
+
 def test_load_table_and_relation_helpers(db):
     from repro.catalog.schema import TableSchema
     from repro.datatypes import SQLType
