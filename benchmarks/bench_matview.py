@@ -9,11 +9,10 @@ the measured gap is purely materialization + semiring delta
 maintenance vs. recomputation.
 
 The gate is a ≥ 10× workload speedup for the view-backed database.
-Methodology follows ``bench_serving``: fresh state
-per repetition, configurations interleaved, best-of-N kept, garbage
-collected before each timing window.  ``PERM_BENCH_QUICK=1`` shrinks
-rounds and repeats for the CI smoke job.  Honest numbers land in
-``BENCH_matview.json``.
+Methodology: fresh state per repetition, configurations interleaved,
+best-of-N kept, garbage collected before each timing window.
+``PERM_BENCH_QUICK=1`` shrinks rounds and repeats for the CI smoke
+job.  Honest numbers land in ``BENCH_matview.json``.
 """
 
 from __future__ import annotations

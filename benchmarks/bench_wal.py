@@ -19,8 +19,8 @@ Three questions from the durability PR are measured here:
    come up from a checkpoint, are reported so recovery regressions are
    visible in the artifact history.
 
-Methodology matches ``bench_serving``: interleaved configurations,
-best-of-``REPEATS`` timings, ``gc.collect()`` before each window.
+Methodology: interleaved configurations, best-of-``REPEATS`` timings,
+``gc.collect()`` before each window.
 ``PERM_BENCH_QUICK=1`` shrinks the burst for the CI chaos-smoke job.
 """
 

@@ -595,10 +595,14 @@ class PermDatabase:
         }
 
     @collector_paused
-    def compile_select(self, sql: str, provenance: Optional[str] = None) -> Query:
+    def compile_select(
+        self, sql: "str | ast.SelectNode", provenance: Optional[str] = None
+    ) -> Query:
         """Frontend pipeline only: parse → analyze → rewrite → optimize.
 
         Returns the executable query tree for :meth:`run_compiled`.
+        ``sql`` is the text of one SELECT or its parse tree (the server
+        parses once to tell SELECTs from other statements).
         ``provenance`` marks the outermost SELECT like
         :meth:`provenance` does (``"witness"``, ``"polynomial"``, or a
         registered strategy name).  Bypasses the statement cache:
@@ -612,7 +616,7 @@ class PermDatabase:
         tree otherwise.
         """
         self._maybe_auto_analyze()
-        stmt = parse_select(sql, "compile_select")
+        stmt = parse_select(sql, "compile_select") if isinstance(sql, str) else sql
         if provenance is not None:
             stmt.provenance = True
             stmt.provenance_type = provenance

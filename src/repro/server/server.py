@@ -4,28 +4,33 @@ One :class:`PermServer` fronts one :class:`~repro.database.PermDatabase`
 (which must run the in-process Python backend — the server relies on
 its snapshot/timeout execution controls).  The asyncio loop owns all
 protocol work: framing, admission control, session bookkeeping,
-response encoding.  Query execution — the only CPU-heavy part — runs on
-a bounded thread-pool executor so the loop keeps accepting connections
-and answering ``stats`` while queries grind.
+response encoding.  Statements — the CPU-heavy part — run on **one
+engine thread**, in admission order, each to completion.  Two
+CPU-bound Python statements that overlap only pass the GIL back and
+forth, keep both sets of intermediates alive and switch the cyclic
+collector back on (:mod:`repro.gc_pause` pauses it while exactly one
+statement is in flight); one at a time, each runs at in-process speed.
 
 Request lifecycle:
 
-1. **Admission.** Requests beyond ``max_concurrency + queue_limit``
-   in flight are refused immediately with an ``overloaded`` error —
-   bounded queueing, never unbounded buffering, so p99 under overload
-   degrades to a fast refusal instead of a growing queue.
-2. **Snapshot.** A consistent-read token
-   (:meth:`PermDatabase.snapshot`) is captured on the asyncio thread
-   once the request clears the concurrency gate, so every query
-   observes a table state that actually existed at its admission point
-   even while writers run on other executor threads.
-3. **Execution.** The session's prepared-statement cache is probed;
-   on a miss the frontend pipeline compiles the statement.  SELECTs
-   execute under the snapshot with a cooperative engine deadline;
-   other statements (DDL/DML) route through ``PermDatabase.execute``.
+1. **Admission.** The engine deadline (per-request timeout) is armed.
+   Requests beyond one executing plus ``queue_limit`` waiting are
+   refused immediately with an ``overloaded`` error — bounded queueing,
+   never unbounded buffering, so p99 under overload degrades to a fast
+   refusal instead of a growing queue.
+2. **Queue.** The request waits for the engine thread.  One still
+   queued at its deadline is answered with a ``timeout`` and never
+   runs.
+3. **Execution.** The session's prepared-statement cache is probed
+   once; on a miss the statement is parsed once and a SELECT is
+   compiled by the frontend pipeline.  SELECTs execute under a
+   snapshot (:meth:`PermDatabase.snapshot`) taken on the engine thread
+   as the statement starts, with the rest of the deadline; other
+   statements (DDL/DML) route through ``PermDatabase.execute``.
 4. **Timeout.** The engine deadline fires inside execution; an
-   ``asyncio.wait_for`` backstop (deadline + grace) guards the await
-   so a stuck worker can never wedge its connection.
+   ``asyncio.wait_for`` backstop (timeout + grace, also from
+   admission) guards the await so a stuck statement can never wedge
+   its connection.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ class PermServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_concurrency: int = 4,
         queue_limit: int = 64,
         request_timeout: Optional[float] = 30.0,
     ) -> None:
@@ -77,17 +81,15 @@ class PermServer:
         self.db = db
         self.host = host
         self.port = port
-        self.max_concurrency = max(int(max_concurrency), 1)
         self.queue_limit = max(int(queue_limit), 0)
         self.request_timeout = request_timeout
         self.sessions = SessionManager()
         self.stats = ServerStats()
         self._pending = 0  # touched only on the asyncio thread
         self._draining = False  # graceful shutdown: refuse new queries
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_concurrency, thread_name_prefix="repro-server"
-        )
+        # The one engine thread: a single-worker executor runs the
+        # statements in submission (= admission) order.
+        self._engine = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-engine")
         self._aio_server: Optional[asyncio.AbstractServer] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -102,7 +104,6 @@ class PermServer:
         return (host, port)
 
     async def start(self) -> None:
-        self._semaphore = asyncio.Semaphore(self.max_concurrency)
         self._aio_server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -117,7 +118,7 @@ class PermServer:
         if self._aio_server is not None:
             self._aio_server.close()
             await self._aio_server.wait_closed()
-        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._engine.shutdown(wait=False, cancel_futures=True)
 
     async def shutdown(self, drain_timeout: float = 10.0) -> dict:
         """Graceful stop: drain in-flight queries, then :meth:`stop`.
@@ -224,8 +225,8 @@ class PermServer:
 
         start = time.monotonic()
         if self._draining:
-            # Graceful shutdown: answer, don't admit.  In-flight queries
-            # keep their executor slots until the drain deadline.
+            # Graceful shutdown: answer, don't admit.  Admitted queries
+            # keep their place on the engine until the drain deadline.
             self.stats.record(time.monotonic() - start, "shutting_down")
             return _error(
                 request_id,
@@ -237,7 +238,7 @@ class PermServer:
         except InjectedFault as exc:
             self.stats.record(time.monotonic() - start, exc.error_type)
             return _error(request_id, exc.error_type, str(exc))
-        if self._pending >= self.max_concurrency + self.queue_limit:
+        if self._pending >= 1 + self.queue_limit:
             # Refuse before buffering anything: bounded admission is the
             # overload contract — clients get a fast, typed error and
             # retry with backoff instead of stacking latency.
@@ -247,24 +248,16 @@ class PermServer:
                 "overloaded",
                 f"server at capacity ({self._pending} requests in flight)",
             )
+        deadline = None if timeout is None else start + timeout
         self._pending += 1
         try:
-            async with self._semaphore:
-                snapshot = self.db.snapshot()
-                loop = asyncio.get_running_loop()
-                future = loop.run_in_executor(
-                    self._executor,
-                    self._execute,
-                    session,
-                    sql,
-                    provenance,
-                    snapshot,
-                    timeout,
-                )
-                if timeout is not None:
-                    payload = await asyncio.wait_for(future, timeout + TIMEOUT_GRACE)
-                else:
-                    payload = await future
+            future = asyncio.get_running_loop().run_in_executor(
+                self._engine, self._execute, session, sql, provenance, deadline
+            )
+            if timeout is not None:
+                payload = await asyncio.wait_for(future, timeout + TIMEOUT_GRACE)
+            else:
+                payload = await future
         except asyncio.TimeoutError:
             session.record(ok=False)
             self.stats.record(time.monotonic() - start, "timeout")
@@ -309,35 +302,37 @@ class PermServer:
             return requested
         return min(requested, self.request_timeout)
 
-    # -- executor-thread work ------------------------------------------------
+    # -- engine-thread work --------------------------------------------------
 
     def _execute(
         self,
         session: Session,
         sql: str,
         provenance: Optional[str],
-        snapshot: dict,
-        timeout: Optional[float],
+        deadline: Optional[float],
     ) -> dict:
         fault_point("server.query", session=session.session_id, sql=sql)
-        query = session.lookup(self.db, sql, provenance)
+        if deadline is not None and time.monotonic() >= deadline:
+            raise ExecutionError("query canceled: timed out while queued")
+        key = self.db.cache_key(sql, provenance)
+        query = session.lookup(key)
         cached = query is not None
         if query is None:
             statements = parse_sql(sql)
-            if len(statements) == 1 and isinstance(
+            if len(statements) != 1 or not isinstance(
                 statements[0], (ast.SelectStmt, ast.SetOpSelect)
             ):
-                query, _ = session.compiled(self.db, sql, provenance)
-            else:
                 if provenance is not None:
                     raise PermError(
                         "provenance semantics require a single SELECT statement"
                     )
                 # DDL/DML (and multi-statement scripts) execute outside
                 # the snapshot: they *create* the states snapshots name.
-                result = self.db.execute(sql)
-                return _result_payload(result, cached=False)
-        result = self.db.run_compiled(query, snapshot=snapshot, timeout=timeout)
+                return _result_payload(self.db.execute(sql), cached=False)
+            query = self.db.compile_select(statements[0], provenance=provenance)
+            session.store(key, query)
+        timeout = None if deadline is None else deadline - time.monotonic()
+        result = self.db.run_compiled(query, snapshot=self.db.snapshot(), timeout=timeout)
         return _result_payload(result, cached=cached)
 
 
@@ -377,11 +372,9 @@ class ServerHandle:
     """A server running on a daemon thread with its own event loop."""
 
     def __init__(self, db: PermDatabase, host: str, port: int, kwargs: dict) -> None:
-        self._db = db
-        self._kwargs = kwargs
-        self._host = host
-        self._port = port
-        self.server: Optional[PermServer] = None
+        # Built on the caller's thread, so a bad keyword or backend
+        # raises here rather than inside the loop thread.
+        self.server = PermServer(db, host, port, **kwargs)
         self._ready = threading.Event()
         self._failure: Optional[BaseException] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -400,7 +393,6 @@ class ServerHandle:
 
     @property
     def address(self) -> tuple[str, int]:
-        assert self.server is not None
         return self.server.address
 
     def stop(self) -> None:
@@ -418,7 +410,7 @@ class ServerHandle:
         :meth:`PermServer.shutdown`), or None when the loop is already
         gone.
         """
-        if self._loop is None or self.server is None or not self._thread.is_alive():
+        if self._loop is None or not self._thread.is_alive():
             return None
         future = asyncio.run_coroutine_threadsafe(
             self.server.shutdown(drain_timeout), self._loop
@@ -437,7 +429,6 @@ class ServerHandle:
             self._ready.set()
 
     async def _main(self) -> None:
-        self.server = PermServer(self._db, self._host, self._port, **self._kwargs)
         await self.server.start()
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()

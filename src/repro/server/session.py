@@ -9,20 +9,19 @@ pipeline (parse → analyze → provenance-rewrite → optimize) — keyed by
 :meth:`PermDatabase.cache_key` with the provenance semantics as mode,
 so DDL and fresh statistics age entries out naturally.
 
-All structures here are mutated from executor threads and read from
-the asyncio thread concurrently, hence the per-object locks.
+The statement caches are read and written only on the server's one
+engine thread; the session map and the query/error counters only on
+its asyncio thread.  Nothing here needs a lock.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analyzer.query_tree import Query
-    from repro.database import PermDatabase
 
 #: Compiled statements kept per session.
 SESSION_STATEMENT_CACHE_SIZE = 32
@@ -43,67 +42,38 @@ class Session:
         self.cache_misses = 0
         self._cache_size = cache_size
         self._statements: "OrderedDict[tuple, Query]" = OrderedDict()
-        self._lock = threading.Lock()
 
-    def lookup(
-        self, db: "PermDatabase", sql: str, provenance: Optional[str]
-    ) -> Optional["Query"]:
-        """Cache probe only — no compilation on a miss.
-
-        The server uses this to learn *whether* a statement is a known
-        SELECT before deciding between the compiled-snapshot path and
-        the general ``execute`` path.
-        """
-        key = db.cache_key(sql, provenance)
-        with self._lock:
-            query = self._statements.get(key)
-            if query is not None:
-                self._statements.move_to_end(key)
-                self.cache_hits += 1
-            return query
-
-    def compiled(
-        self, db: "PermDatabase", sql: str, provenance: Optional[str]
-    ) -> Tuple["Query", bool]:
-        """The compiled tree for (sql, provenance): ``(query, was_hit)``.
-
-        Compilation happens outside the lock — it can be milliseconds of
-        work and must not serialize unrelated sessions' threads.  Two
-        racing misses for the same statement both compile; last write
-        wins, which is correct because compiled trees are equivalent.
-        """
-        key = db.cache_key(sql, provenance)
-        with self._lock:
-            query = self._statements.get(key)
-            if query is not None:
-                self._statements.move_to_end(key)
-                self.cache_hits += 1
-                return query, True
-        compiled = db.compile_select(sql, provenance=provenance)
-        with self._lock:
-            self.cache_misses += 1
-            self._statements[key] = compiled
+    def lookup(self, key: tuple) -> Optional["Query"]:
+        """The compiled tree cached under ``key`` (a
+        :meth:`PermDatabase.cache_key`), or None."""
+        query = self._statements.get(key)
+        if query is not None:
             self._statements.move_to_end(key)
-            while len(self._statements) > self._cache_size:
-                self._statements.popitem(last=False)
-        return compiled, False
+            self.cache_hits += 1
+        return query
+
+    def store(self, key: tuple, query: "Query") -> None:
+        """Cache a freshly compiled tree (a miss), evicting the least
+        recently used beyond the cache size."""
+        self.cache_misses += 1
+        self._statements[key] = query
+        while len(self._statements) > self._cache_size:
+            self._statements.popitem(last=False)
 
     def record(self, ok: bool) -> None:
-        with self._lock:
-            self.queries += 1
-            if not ok:
-                self.errors += 1
+        self.queries += 1
+        if not ok:
+            self.errors += 1
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "session": self.session_id,
-                "queries": self.queries,
-                "errors": self.errors,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cached_statements": len(self._statements),
-            }
+        return {
+            "session": self.session_id,
+            "queries": self.queries,
+            "errors": self.errors,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "cached_statements": len(self._statements),
+        }
 
 
 class SessionManager:
@@ -112,28 +82,22 @@ class SessionManager:
     def __init__(self, max_sessions: int = MAX_SESSIONS) -> None:
         self.max_sessions = max_sessions
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, session_id: str) -> Session:
-        with self._lock:
-            session = self._sessions.get(session_id)
-            if session is None:
-                session = Session(session_id)
-                self._sessions[session_id] = session
-            self._sessions.move_to_end(session_id)
-            while len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)
-            return session
+        session = self._sessions.get(session_id)
+        if session is None:
+            session = Session(session_id)
+            self._sessions[session_id] = session
+        self._sessions.move_to_end(session_id)
+        while len(self._sessions) > self.max_sessions:
+            self._sessions.popitem(last=False)
+        return session
 
     def close(self, session_id: str) -> bool:
-        with self._lock:
-            return self._sessions.pop(session_id, None) is not None
+        return self._sessions.pop(session_id, None) is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     def stats(self) -> list[dict]:
-        with self._lock:
-            sessions = list(self._sessions.values())
-        return [session.stats() for session in sessions]
+        return [session.stats() for session in self._sessions.values()]

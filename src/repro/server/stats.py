@@ -3,8 +3,8 @@
 Everything the ``stats`` wire op and the shell's ``\\server stats``
 report: request totals by outcome, a sliding latency window for
 p50/p99, and a timestamp window for queries-per-second.  Recording
-happens on executor threads; snapshots on the asyncio thread — one
-lock, held only for deque appends and snapshot copies.
+happens on the asyncio thread; snapshots there and on the shell's
+thread — one lock, held only for deque appends and snapshot copies.
 """
 
 from __future__ import annotations

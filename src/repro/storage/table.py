@@ -255,8 +255,9 @@ class Table:
         output order.  ``batch_size`` is always honored — even when the
         columnar cache holds the whole table: the zero-copy fast path
         (handing out the cached column lists directly; consumers never
-        mutate chunk columns) applies only when the table genuinely fits
-        one batch, otherwise the cache is sliced into bounded chunks.
+        mutate chunk columns) applies only when the scanned range is the
+        whole cache and fits one batch, otherwise the cache is sliced
+        into bounded chunks.
         The cost-based planner shrinks the executor's batch size below
         the table size when joins fan out
         (:attr:`~repro.executor.nodes.PlanNode.batch_size_hint`), so at
@@ -267,7 +268,8 @@ class Table:
         substrate for both morsel-driven parallelism (each worker scans
         one range) and snapshot reads (the visible prefix of the heap at
         snapshot time; within one epoch rows are append-only, so a row
-        count *is* a snapshot token).
+        count *is* a snapshot token).  A snapshot that covers the whole
+        heap still takes the zero-copy path.
         """
         total = len(self._rows)
         bounded = start != 0 or stop is not None
@@ -277,19 +279,22 @@ class Table:
             return
         batch_size = max(int(batch_size), 1)
         data = self.columnar()
+        # The range is the whole cache: no append landed after ``stop``
+        # was read (or after the snapshot was taken).
+        covering = start == 0 and stop <= batch_size and len(data[0]) == stop
         narrow = columns is not None
         if narrow:
             data = [data[i] for i in columns]
-        if not bounded and total <= batch_size:
-            # Full-width single chunks also share the heap's row list:
-            # a downstream consumer that needs row tuples (a hash-join
+        if covering:
+            # Full-width single chunks also share the heap's rows: a
+            # downstream consumer that needs row tuples (a hash-join
             # spool) then gathers original rows instead of transposing.
-            yield Chunk(
-                columns=data,
-                nrows=total,
-                width=len(data),
-                phys_rows=None if narrow else self._rows,
-            )
+            # A bounded (snapshot) scan gets a copy of the list, which
+            # DELETE and TRUNCATE mutate in place.
+            phys_rows = None
+            if not narrow:
+                phys_rows = self._rows[:stop] if bounded else self._rows
+            yield Chunk(columns=data, nrows=stop, width=len(data), phys_rows=phys_rows)
             return
         for lower in range(start, stop, batch_size):
             upper = min(lower + batch_size, stop)

@@ -120,7 +120,7 @@ def test_concurrent_inserts_and_view_reads(served_db):
 
 def test_delete_invalidates_inflight_view_read_with_typed_error():
     # A read admitted before a DELETE runs under the old snapshot.  The
-    # delay below holds the read on the worker thread between snapshot
+    # delay below holds the read on the engine thread between snapshot
     # capture and execution — exactly the window a slow scheduler or a
     # long queue creates — while the DELETE bumps the base epoch.  The
     # stale view cannot serve that snapshot and the fallback execution
@@ -130,7 +130,7 @@ def test_delete_invalidates_inflight_view_read_with_typed_error():
     db.execute("CREATE TABLE sales (sname text, itemid integer)")
     db.execute("INSERT INTO sales VALUES ('Merdies', 1), ('Joba', 3)")
     db.execute(CREATE)
-    handle = start_in_thread(db, max_concurrency=2)
+    handle = start_in_thread(db)
     host, port = handle.address
     real_run = db.run_compiled
     started, deleted = threading.Event(), threading.Event()

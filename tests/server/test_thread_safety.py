@@ -1,9 +1,10 @@
 """Concurrent-access stress tests for the shared caches.
 
-The server executes queries on a thread pool against one shared
-database, so ``Table.columnar()``, the prepared-statement LRU, the
-PythonBackend plan cache, and the catalog's (auto-)ANALYZE path all see
-genuine multi-threaded access.  These tests hammer each from many
+An embedder may call one database from many threads at once (its own
+threads beside the server's engine thread and morsel workers), so
+``Table.columnar()``, the prepared-statement LRU, the PythonBackend
+plan cache, and the catalog's (auto-)ANALYZE path all see genuine
+multi-threaded access.  These tests hammer each from many
 threads and assert no exceptions and no wrong answers.
 """
 

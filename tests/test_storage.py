@@ -150,3 +150,27 @@ def test_schema_column_lookup_case_insensitive():
     assert schema.column_index("A") == 0
     assert schema.has_column("B")
     assert schema.column("b").type is SQLType.TEXT
+
+
+def test_covering_snapshot_scan_hands_out_the_cached_columns():
+    table = Table(_schema(), rows=[(i, str(i)) for i in range(10)])
+    cached = table.columnar()
+    (chunk,) = table.scan_chunks(batch_size=100, stop=table.row_count())
+    assert all(col is cached_col for col, cached_col in zip(chunk.physical_columns(), cached))
+    (narrow,) = table.scan_chunks(batch_size=100, columns=[1], stop=10)
+    assert narrow.physical_columns()[0] is cached[1]
+    # The row list is a copy: DELETE and TRUNCATE rewrite the live one.
+    assert chunk.rows() == table.raw_rows() and chunk.rows() is not table.raw_rows()
+
+
+def test_append_after_snapshot_stays_invisible():
+    table = Table(_schema(), rows=[(i, str(i)) for i in range(10)])
+    visible = table.row_count()  # the snapshot token
+    table.columnar()
+    table.insert((10, "10"))
+    (chunk,) = table.scan_chunks(batch_size=100, stop=visible)
+    assert len(chunk) == 10
+    assert chunk.rows() == [(i, str(i)) for i in range(10)]
+    assert [len(col) for col in chunk.physical_columns()] == [10, 10]
+    table.remove_rows([(0, "0")])
+    assert chunk.rows()[0] == (0, "0")  # the scan kept its own rows
