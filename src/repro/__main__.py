@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro                 # empty database
-    python -m repro --tpch 0.002    # pre-loaded TPC-H at SF 0.002
+    python -m repro --tpch 0.002    # pre-loaded, ANALYZEd TPC-H at SF 0.002
     python -m repro --example       # the paper's shop/sales/items example
 
 Inside the shell, end statements with ``;``.  Meta commands:
@@ -72,6 +72,10 @@ def _build_database(args: argparse.Namespace) -> repro.PermDatabase:
             wal_dir=args.wal_dir,
             wal_sync=args.wal_sync,
         )
+        # Plan with statistics, like every in-process TPC-H workload:
+        # without them every join estimate collapses to one row.
+        # Through execute, so a --wal-dir database logs it.
+        db.execute("ANALYZE")
         if args.shards is not None:
             from repro.sharding.backend import ShardedBackend
 
@@ -358,7 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Interactive shell for the Perm provenance engine",
     )
     parser.add_argument("--tpch", type=float, default=None, metavar="SF",
-                        help="pre-load TPC-H data at the given scale factor")
+                        help="pre-load TPC-H data at the given scale factor "
+                             "and ANALYZE it")
     parser.add_argument("--example", action="store_true",
                         help="pre-load the paper's shop/sales/items example")
     parser.add_argument("--command", "-c", default=None,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
 from repro.analyzer.query_tree import Query
@@ -57,7 +58,7 @@ class PythonBackend(ExecutionBackend):
         # Query reference keeps the id() key from being recycled.  DDL
         # invalidates via the catalog epoch, fresh statistics via the
         # stats epoch; the execution settings via the key.
-        self._plan_cache: dict[tuple, tuple[Query, object]] = {}
+        self._plan_cache: "OrderedDict[tuple, tuple[Query, object]]" = OrderedDict()
         self._plan_cache_epochs: tuple = (-1, -1)
         # Server sessions share one backend across handler threads, so
         # cache maintenance (epoch flush, LRU eviction) is serialized.
@@ -88,6 +89,8 @@ class PythonBackend(ExecutionBackend):
                 self._plan_cache.clear()
                 self._plan_cache_epochs = epochs
             entry = self._plan_cache.get(key)
+            if entry is not None:
+                self._plan_cache.move_to_end(key)
         if entry is not None:
             return entry[1]
         plan = make_planner(
@@ -98,7 +101,7 @@ class PythonBackend(ExecutionBackend):
         ).plan(query)
         with self._plan_cache_lock:
             if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
-                self._plan_cache.pop(next(iter(self._plan_cache)))
+                self._plan_cache.popitem(last=False)
             self._plan_cache[key] = (query, plan)
         return plan
 

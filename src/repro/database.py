@@ -467,20 +467,26 @@ class PermDatabase:
     # -- statement execution ---------------------------------------------------
 
     @collector_paused
-    def execute(self, sql: str) -> QueryResult:
+    def execute(self, sql: "str | list[ast.Statement]") -> QueryResult:
         """Execute one or more ``;``-separated statements.
 
         Returns the result of the last statement (DDL returns an empty
         result with a command tag).  Single-statement SELECTs hit the
         prepared-statement cache: a repeat of the same text on the same
         backend and catalog epoch skips the whole frontend pipeline.
+        ``sql`` may also be the parsed statements (the server parses
+        once to tell SELECTs from other statements); without the text
+        there is no cache key, so they bypass the statement cache.
         """
         self._maybe_auto_analyze()
-        key = self.cache_key(sql, "plain")
-        cached = self._stmt_cache.get(key)
-        if cached is not None:
-            return self._run_cached(cached)
-        statements = parse_sql(sql)
+        if isinstance(sql, str):
+            key = self.cache_key(sql, "plain")
+            cached = self._stmt_cache.get(key)
+            if cached is not None:
+                return self._run_cached(cached)
+            statements = parse_sql(sql)
+        else:
+            key, statements = None, sql
         result = QueryResult(columns=[], rows=[], command="EMPTY")
         cacheable: Optional[Any] = None
         for stmt in statements:
@@ -501,7 +507,7 @@ class PermDatabase:
                     cacheable = None
                 if durable:
                     self._durability.log_statement(format_statement(stmt))
-        if cacheable is not None:
+        if cacheable is not None and key is not None:
             self._stmt_cache.put(key, cacheable)
         return result
 

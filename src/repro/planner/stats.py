@@ -17,8 +17,10 @@ a truncate (new ``epoch``) invalidates the entry; plain appends do not
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, filterfalse, islice
 from typing import Any, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -144,9 +146,10 @@ def collect_table_stats(
     most-common values, and an equi-depth histogram.
 
     Heaps are transposed through the table's columnar cache, so the
-    per-column loops run over plain lists (one C-level ``Counter`` build
-    per column over up to :data:`MAX_TRACKED_DISTINCT` values; larger
-    columns are sampled by prefix and extrapolated).
+    per-column work runs over plain lists: one C-level ``Counter`` build
+    per column over up to :data:`MAX_TRACKED_DISTINCT` values (larger
+    columns are sampled by prefix and extrapolated), then one sort of
+    the distinct values, which yields min/max and the histogram.
 
     ``sample_rows`` switches to estimation over a seeded reservoir
     sample of that many rows (auto-ANALYZE uses this above
@@ -176,44 +179,66 @@ def collect_table_stats(
         if sample_indices is not None:
             column = [column[i] for i in sample_indices]
         scanned = len(column)
-        non_null = [v for v in column if v is not None]
-        null_frac = 1.0 - len(non_null) / scanned
+        if scanned <= MAX_TRACKED_DISTINCT:
+            # Every non-NULL value is tracked: count the NULLs along with
+            # them rather than copy the column without them.
+            values = None
+            counts = Counter(column)
+            non_null = scanned - counts.pop(None, 0)
+            tracked = non_null
+        else:
+            values = [v for v in column if v is not None]
+            non_null = len(values)
+            tracked = min(non_null, MAX_TRACKED_DISTINCT)
+            counts = Counter(islice(values, MAX_TRACKED_DISTINCT))
+        null_frac = 1.0 - non_null / scanned
         if not non_null:
             stats.columns[name.lower()] = ColumnStats(null_frac=1.0)
             continue
-        sample = (
-            non_null
-            if len(non_null) <= MAX_TRACKED_DISTINCT
-            else non_null[:MAX_TRACKED_DISTINCT]
-        )
-        counts = Counter(sample)
         seen = len(counts)
         if sample_indices is not None:
             est_non_null = max(1, round(rows * (1.0 - null_frac)))
             ndv = _chao1_ndv(counts, seen, est_non_null)
-        elif len(sample) < len(non_null):
+        elif tracked < non_null:
             # Extrapolate: if the sample looks unique, assume the column
             # is; otherwise scale the sample's distinct ratio.
             ndv = (
-                len(non_null)
-                if seen == len(sample)
-                else max(1, int(seen / len(sample) * len(non_null)))
+                non_null
+                if seen == tracked
+                else max(1, int(seen / tracked * non_null))
             )
         else:
             ndv = seen
-        probe = non_null[0]
-        if _orderable(probe):
+        non_null_frac = non_null / scanned
+        mcv = _collect_mcv(counts, tracked, seen, non_null_frac)
+        mcv_values = {v for v, _ in mcv}
+        # The histogram covers the non-MCV values; its type gate probes
+        # the first of them in first-occurrence order.
+        first_rest = next((v for v in counts if v not in mcv_values), None)
+        want_histogram = seen - len(mcv) >= 2 and _orderable(first_rest)
+        # Min/max come off the sorted distinct values unless the counts
+        # cover only a prefix of the column.  The first key counted is
+        # the column's first non-NULL value.
+        want_range = _orderable(next(iter(counts)))
+        ordered = None
+        if want_histogram or (want_range and tracked == non_null):
             try:
-                min_value, max_value = min(non_null), max(non_null)
+                ordered = sorted(counts)
+            except TypeError:  # mixed types: no meaningful order
+                pass
+        min_value = max_value = None
+        if want_range and tracked < non_null:
+            try:
+                min_value, max_value = min(values), max(values)
             except TypeError:  # mixed types sneaked in; skip the range
-                min_value = max_value = None
-        else:
-            min_value = max_value = None
-        non_null_frac = len(non_null) / scanned
-        mcv = _collect_mcv(counts, len(sample), seen, non_null_frac)
-        histogram, histogram_frac = _collect_histogram(
-            counts, {v for v, _ in mcv}, len(sample), non_null_frac
-        )
+                pass
+        elif want_range and ordered is not None:
+            min_value, max_value = ordered[0], ordered[-1]
+        histogram, histogram_frac = (), 0.0
+        if want_histogram:
+            histogram, histogram_frac = _collect_histogram(
+                counts, ordered, mcv_values, tracked, non_null_frac
+            )
         stats.columns[name.lower()] = ColumnStats(
             ndv=ndv,
             null_frac=null_frac,
@@ -237,6 +262,9 @@ def _collect_mcv(
     falls through to NDV/histogram arithmetic.  Low-NDV columns keep
     every repeating value, making equality estimates exact.
     """
+    top = max(counts.values())
+    if top <= 1 or (seen > MCV_LIST_SIZE and top * seen <= sample_size):
+        return ()  # the loop below would stop at the most common value
     mcv = []
     for value, count in counts.most_common(MCV_LIST_SIZE):
         if count <= 1:
@@ -248,33 +276,40 @@ def _collect_mcv(
 
 
 def _collect_histogram(
-    counts: Counter, mcv_values: set, sample_size: int, non_null_frac: float
+    counts: Counter,
+    ordered: Optional[list],
+    mcv_values: set,
+    sample_size: int,
+    non_null_frac: float,
 ) -> tuple[tuple, float]:
     """Equi-depth bucket bounds over the non-MCV values.
 
     Returns ``(bounds, fraction-of-all-rows-covered)``; bounds are
     ``HISTOGRAM_BUCKETS + 1`` values (fewer when the column has fewer
     distinct values) with each adjacent pair delimiting ~equal row mass.
-    Non-orderable or mixed-type columns get no histogram.
+    ``ordered`` is every distinct value sorted, or ``None`` when they do
+    not sort together (an MCV of another type): the non-MCV values are
+    then sorted on their own, and a mixed-type rest gets no histogram.
     """
-    remaining = [(v, c) for v, c in counts.items() if v not in mcv_values]
-    if len(remaining) < 2 or not _orderable(remaining[0][0]):
-        return (), 0.0
-    try:
-        remaining.sort()
-    except TypeError:  # mixed types: no meaningful order
-        return (), 0.0
-    total = sum(c for _, c in remaining)
+    if ordered is None:
+        try:
+            remaining = sorted(filterfalse(mcv_values.__contains__, counts))
+        except TypeError:  # mixed types: no meaningful order
+            return (), 0.0
+    else:
+        remaining = list(filterfalse(mcv_values.__contains__, ordered))
+    cumulative = list(accumulate(map(counts.__getitem__, remaining)))
+    total = cumulative[-1]
     buckets = min(HISTOGRAM_BUCKETS, len(remaining) - 1)
-    bounds = [remaining[0][0]]
-    cumulative = 0
-    threshold = 1
-    for value, count in remaining:
-        cumulative += count
-        while threshold <= buckets and cumulative * buckets >= threshold * total:
-            # A single heavy value can cross several thresholds; it
-            # still contributes one bound (buckets merely go unequal).
-            if value != bounds[-1]:
-                bounds.append(value)
-            threshold += 1
+    # Bucket t ends at the first value whose running count reaches
+    # t/buckets of the mass: ``cumulative * buckets >= t * total``, an
+    # exact integer threshold.  A heavy value can end several buckets;
+    # it still contributes one bound (buckets merely go unequal).
+    bounds = [remaining[0]]
+    last = 0
+    for threshold in range(1, buckets + 1):
+        index = bisect_left(cumulative, -(-threshold * total // buckets))
+        if index != last:
+            bounds.append(remaining[index])
+            last = index
     return tuple(bounds), total / sample_size * non_null_frac

@@ -26,7 +26,8 @@ Request lifecycle:
    compiled by the frontend pipeline.  SELECTs execute under a
    snapshot (:meth:`PermDatabase.snapshot`) taken on the engine thread
    as the statement starts, with the rest of the deadline; other
-   statements (DDL/DML) route through ``PermDatabase.execute``.
+   statements (DDL/DML) hand their parse trees to
+   ``PermDatabase.execute``, which logs durable ones to the WAL.
 4. **Timeout.** The engine deadline fires inside execution; an
    ``asyncio.wait_for`` backstop (timeout + grace, also from
    admission) guards the await so a stuck statement can never wedge
@@ -328,7 +329,7 @@ class PermServer:
                     )
                 # DDL/DML (and multi-statement scripts) execute outside
                 # the snapshot: they *create* the states snapshots name.
-                return _result_payload(self.db.execute(sql), cached=False)
+                return _result_payload(self.db.execute(statements), cached=False)
             query = self.db.compile_select(statements[0], provenance=provenance)
             session.store(key, query)
         timeout = None if deadline is None else deadline - time.monotonic()

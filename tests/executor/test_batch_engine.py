@@ -254,6 +254,30 @@ def test_backend_plan_cache_invalidated_by_ddl():
     assert db.execute("SELECT * FROM t").rows == [(4, 5)]
 
 
+def test_backend_plan_cache_keeps_a_hot_plan(monkeypatch):
+    import repro.planner as planner_module
+
+    db = repro.connect()
+    db.execute("CREATE TABLE t (a integer)")
+    db.execute("INSERT INTO t VALUES (1)")
+    plans = []
+    real_make_planner = planner_module.make_planner
+
+    def counting_make_planner(*args, **kwargs):
+        plans.append(1)
+        return real_make_planner(*args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "make_planner", counting_make_planner)
+    hot = db.compile_select("SELECT a FROM t")
+    # More fresh trees than the cache holds, the hot one re-run between
+    # each: recency, not insertion order, decides what is evicted.
+    fresh = [db.compile_select(f"SELECT a + {i} FROM t") for i in range(70)]
+    for tree in fresh:
+        assert db.run_compiled(hot).rows == [(1,)]
+        db.run_compiled(tree)
+    assert len(plans) == 1 + len(fresh)
+
+
 # ---------------------------------------------------------------------------
 # Satellite: explain(analyze=True)
 # ---------------------------------------------------------------------------

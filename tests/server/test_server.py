@@ -371,6 +371,33 @@ def test_a_select_miss_parses_once(served_db, monkeypatch):
         assert (len(parses), len(keys)) == (1, 2)  # a hit parses nothing
 
 
+def test_a_served_write_parses_once_and_is_logged(tmp_path, monkeypatch):
+    db = repro.connect(wal_dir=str(tmp_path))
+    db.execute("CREATE TABLE t (a integer)")
+    handle = start_in_thread(db, request_timeout=30.0)
+    parses = []
+    real_parse = _Parser.parse_statements
+
+    def counting_parse(self):
+        parses.append(self.text)
+        return real_parse(self)
+
+    monkeypatch.setattr(_Parser, "parse_statements", counting_parse)
+    try:
+        with PermClient(*handle.address) as client:
+            for value in (1, 2):
+                assert client.query(f"INSERT INTO t VALUES ({value})").command
+                assert len(parses) == value  # one parse per INSERT
+    finally:
+        handle.stop()
+        db.close()
+    recovered = repro.connect(wal_dir=str(tmp_path))
+    try:
+        assert sorted(recovered.execute("SELECT a FROM t").rows) == [(1,), (2,)]
+    finally:
+        recovered.close()
+
+
 def test_max_concurrency_is_gone():
     db = repro.connect()
     with pytest.raises(TypeError):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import re
 import subprocess
 import sys
 
 import pytest
+
+from repro.__main__ import _build_database
+from repro.tpch.qgen import generate_query
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -172,3 +177,23 @@ def test_interactive_analyze_and_stats():
     assert "table statistics:" in result.stdout
     assert "est=" in result.stdout
     assert "actual rows=" in result.stdout
+
+
+def test_tpch_database_is_analyzed_and_plans_q5_without_blowup():
+    args = argparse.Namespace(
+        tpch=0.005, example=False, backend="python", executor="thread",
+        shards=None, shard_key=None, wal_dir=None, wal_sync="always",
+    )
+    db = _build_database(args)
+    assert {stats.table_name for stats in db.catalog.analyzed_tables()} == {
+        "customer", "lineitem", "nation", "orders",
+        "part", "partsupp", "region", "supplier",
+    }
+    # Without statistics every Q5 join estimate is one row, and the
+    # planner joins customer to supplier on nation before it reaches
+    # orders: an intermediate several times the size of lineitem.
+    lineitem = db.catalog.table("lineitem").row_count()
+    for provenance in (False, True):
+        text = db.explain(generate_query(5, seed=42, provenance=provenance), analyze=True)
+        rows = [int(n) for n in re.findall(r"actual rows=(\d+)", text)]
+        assert rows and max(rows) <= lineitem
