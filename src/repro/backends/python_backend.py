@@ -60,8 +60,10 @@ class PythonBackend(ExecutionBackend):
         # stats epoch; the execution settings via the key.
         self._plan_cache: "OrderedDict[tuple, tuple[Query, object]]" = OrderedDict()
         self._plan_cache_epochs: tuple = (-1, -1)
-        # Server sessions share one backend across handler threads, so
-        # cache maintenance (epoch flush, LRU eviction) is serialized.
+        # A database served by ``start_in_thread`` (``ServerHandle``) plans
+        # on the server's engine thread and on the embedding program's
+        # own thread, so cache maintenance (epoch flush, LRU eviction) is
+        # serialized.  Morsel workers run finished plans and never plan.
         self._plan_cache_lock = threading.Lock()
 
     @property

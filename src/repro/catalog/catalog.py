@@ -54,9 +54,11 @@ class Catalog:
         # plans keyed on it re-plan with the fresh numbers.
         self._table_stats: dict[str, "TableStats"] = {}
         self.stats_epoch = 0
-        # Serializes (auto-)ANALYZE: server sessions share one catalog
-        # across handler threads, and a concurrent double-collect would
-        # bump ``stats_epoch`` twice and waste two heap passes.
+        # Serializes (auto-)ANALYZE: a database served by
+        # ``start_in_thread`` (``ServerHandle``) has two callers, the
+        # server's engine thread and the embedding program's own thread,
+        # and a concurrent double-collect would bump ``stats_epoch`` twice
+        # and waste two heap passes.  (Morsel workers never analyze.)
         self._analyze_lock = threading.Lock()
 
     # -- tables -------------------------------------------------------------

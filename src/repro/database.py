@@ -237,10 +237,12 @@ class _StatementCache:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
-        # Server sessions share one database across handler threads;
-        # OrderedDict reordering + eviction is not atomic, so all cache
-        # operations serialize on this lock (they are dict-speed — the
-        # lock is never held across parsing or execution).
+        # A database served by ``start_in_thread`` (``ServerHandle``) is
+        # used by the server's engine thread and by the embedding
+        # program's own thread; OrderedDict reordering + eviction is not
+        # atomic, so all cache operations serialize on this lock (they
+        # are dict-speed — the lock is never held across parsing or
+        # execution).  Morsel workers never touch the cache.
         self._lock = threading.Lock()
 
     def get(self, key: tuple) -> Optional[Any]:
