@@ -15,7 +15,6 @@ Inside the shell, end statements with ``;``.  Meta commands:
   optimization) and the physical plan,
 * ``\\explain+ <query>`` additionally execute the plan and annotate
   every node with actual row/batch counts and wall time,
-* ``\\parallel [off|N]`` show or set morsel-driven parallel workers,
 * ``\\analyze [table]`` collect planner statistics (ANALYZE),
 * ``\\stats`` statement-cache counters + collected table statistics,
 * ``\\matviews`` list materialized provenance views with freshness and
@@ -90,11 +89,9 @@ def _build_database(args: argparse.Namespace) -> repro.PermDatabase:
             db.set_backend(sharded)
         elif args.backend != "python":
             db.set_backend(args.backend)
-        db.parallel_executor = args.executor
         return db
     db = repro.connect(
         backend=args.backend,
-        parallel_executor=args.executor,
         shards=args.shards,
         shard_keys=shard_keys,
         wal_dir=args.wal_dir,
@@ -182,27 +179,6 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
     if command == "\\explain+":
         print(db.explain(rest, analyze=True))
         return True
-    if command == "\\parallel":
-        choice = rest.strip().lower()
-        if choice in ("off", "1"):
-            db.parallel_workers = 1
-        elif choice.isdigit():
-            db.parallel_workers = int(choice)
-        elif choice == "on":
-            db.parallel_workers = None  # one worker per core
-        elif choice:
-            print("usage: \\parallel [off|N]")
-            return True
-        workers = db.parallel_workers
-        if workers is None:
-            import os
-
-            print(f"parallel workers: per-core ({os.cpu_count() or 1})")
-        elif workers <= 1:
-            print("parallel workers: off (serial execution)")
-        else:
-            print(f"parallel workers: {workers}")
-        return True
     if command == "\\server":
         _handle_server(db, rest.strip())
         return True
@@ -277,10 +253,7 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
             )
             return True
         info = stats()
-        print(
-            f"{info['shards']} {info['child_backend']} shard(s), "
-            f"{info['executor']} scatter"
-        )
+        print(f"{info['shards']} {info['child_backend']} shard(s), in-line scatter")
         print(
             f"  queries: {info['scattered']} scattered "
             f"({info['pruned_queries']} pruned), "
@@ -349,7 +322,7 @@ def _handle_meta(db: repro.PermDatabase, line: str) -> bool:
     print(
         "unknown meta command "
         f"{command!r} (\\q, \\d, \\rewrite, \\explain, \\explain+, "
-        "\\parallel, \\analyze, "
+        "\\analyze, "
         "\\stats, \\matviews, \\semirings, \\backend, \\shards, \\server, "
         "\\wal, \\checkpoint)"
     )
@@ -370,13 +343,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="execute one statement and exit")
     parser.add_argument("--backend", default="python",
                         help="execution backend (python, sqlite)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="morsel-driven parallel workers (1 = serial, "
-                             "0 = one per core)")
-    parser.add_argument("--executor", default="thread",
-                        choices=["thread", "process", "serial"],
-                        help="worker-pool strategy for parallel morsels "
-                             "and shard scatter (default: thread)")
     parser.add_argument("--shards", type=int, default=None, metavar="N",
                         help="hash-partition tables over N shard backends "
                              "and scatter-gather queries across them")
@@ -399,8 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     db = _build_database(args)
-    if args.workers != 1:
-        db.parallel_workers = None if args.workers == 0 else args.workers
     if args.serve is not None:
         import time as _time
 
@@ -433,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     print("Perm repro shell -- SELECT PROVENANCE ... to compute provenance.")
     print(
         "\\q quit, \\d relations, \\rewrite <q>, \\explain[+] <q>, "
-        "\\parallel [off|N], \\analyze [table], \\stats, \\matviews, "
+        "\\analyze [table], \\stats, \\matviews, "
         "\\semirings, \\backend [name], \\shards, "
         "\\server [start|stats|stop]"
     )

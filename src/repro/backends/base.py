@@ -18,44 +18,14 @@ suite enforces this).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analyzer import expressions as ex
 from repro.analyzer.query_tree import JoinTreeExpr, Query, RTEKind
-from repro.errors import PermError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.catalog.catalog import Catalog
     from repro.database import QueryResult
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """The execution settings a database hands its backend.
-
-    ``parallel_workers`` is the morsel fan-out: ``1`` keeps execution
-    serial, ``None`` means one worker per core.  ``parallel_executor``
-    is the worker-pool strategy morsels and shard scatter dispatch on:
-    ``thread``, ``process`` or ``serial``.  Both are validated here, once,
-    so a bad value fails where it is given, not at the first query that
-    would use it.
-    """
-
-    parallel_workers: Optional[int] = 1
-    parallel_executor: str = "thread"
-
-    def __post_init__(self) -> None:
-        workers = self.parallel_workers
-        if workers is not None and not isinstance(workers, int):
-            raise PermError(
-                f"parallel_workers must be an integer or None, got {workers!r}"
-            )
-        if self.parallel_executor not in ("thread", "process", "serial"):
-            raise PermError(
-                f"unknown parallel executor {self.parallel_executor!r} "
-                "(expected thread, process or serial)"
-            )
 
 
 class ExecutionBackend(ABC):
@@ -69,15 +39,8 @@ class ExecutionBackend(ABC):
     #: backends that interpret plans themselves can honor these.
     supports_execution_controls = False
 
-    #: Execution settings; replaced through :meth:`configure`.
-    config = EngineConfig()
-
     def __init__(self, catalog: "Catalog") -> None:
         self.catalog = catalog
-
-    def configure(self, config: EngineConfig) -> None:
-        """Adopt the owning database's execution settings."""
-        self.config = config
 
     @abstractmethod
     def run_select(self, query: Query) -> "QueryResult":

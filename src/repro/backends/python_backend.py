@@ -10,9 +10,8 @@ engine pulls columnar :class:`~repro.storage.chunk.Chunk` batches
 through ``run_batches``.
 
 Planning is cost-based: the one :class:`~repro.planner.Planner` picks
-join orders and operator strategies from ANALYZE statistics.  The
-parallel settings come from the owning database's
-:class:`~repro.backends.base.EngineConfig` (:meth:`configure`).
+join orders and operator strategies from ANALYZE statistics, and every
+plan runs serially on the calling thread.
 """
 
 from __future__ import annotations
@@ -41,51 +40,40 @@ class PythonBackend(ExecutionBackend):
     #: Bound on the number of cached physical plans.
     PLAN_CACHE_SIZE = 64
 
-    #: Constant: there is one planner, and every plan runs
-    #: batch-at-a-time with fused pipelines (callers that plan like this
-    #: backend still read the names).
+    #: Constant: there is one planner, and every plan runs serially,
+    #: batch-at-a-time, with fused pipelines (callers that plan like
+    #: this backend still read the names).
     cost_based = True
     vectorize = True
     fuse_pipelines = True
+    parallel_workers = 1
+    parallel_executor = "serial"
+    morsel_size = None
 
     def __init__(self, catalog: "Catalog") -> None:
         super().__init__(catalog)
-        #: Morsel granularity override (None = repro.parallel default).
-        self.morsel_size: Optional[int] = None
         # Physical plans keyed by query-tree identity.  Plans are
         # re-runnable because all per-execution state (materialized
         # spools, sublink memos) lives in the ExecContext; the cached
         # Query reference keeps the id() key from being recycled.  DDL
         # invalidates via the catalog epoch, fresh statistics via the
-        # stats epoch; the execution settings via the key.
-        self._plan_cache: "OrderedDict[tuple, tuple[Query, object]]" = OrderedDict()
+        # stats epoch.
+        self._plan_cache: "OrderedDict[int, tuple[Query, object]]" = OrderedDict()
         self._plan_cache_epochs: tuple = (-1, -1)
         # A database served by ``start_in_thread`` (``ServerHandle``) plans
         # on the server's engine thread and on the embedding program's
         # own thread, so cache maintenance (epoch flush, LRU eviction) is
-        # serialized.  Morsel workers run finished plans and never plan.
+        # serialized.
         self._plan_cache_lock = threading.Lock()
 
-    @property
-    def parallel_workers(self) -> Optional[int]:
-        """Morsel fan-out from :attr:`config` (``None`` = one per core)."""
-        return self.config.parallel_workers
-
-    @property
-    def parallel_executor(self) -> str:
-        """Exchange worker-pool strategy from :attr:`config`."""
-        return self.config.parallel_executor
-
     def _plan(self, query: Query):
-        from repro.parallel import resolve_worker_count
         from repro.planner import make_planner
 
-        config = self.config
         epochs = (
             getattr(self.catalog, "epoch", None),
             getattr(self.catalog, "stats_epoch", None),
         )
-        key = (id(query), config, self.morsel_size)
+        key = id(query)
         with self._plan_cache_lock:
             if epochs != self._plan_cache_epochs:
                 self._plan_cache.clear()
@@ -95,12 +83,7 @@ class PythonBackend(ExecutionBackend):
                 self._plan_cache.move_to_end(key)
         if entry is not None:
             return entry[1]
-        plan = make_planner(
-            self.catalog,
-            parallel_workers=resolve_worker_count(config.parallel_workers),
-            morsel_size=self.morsel_size,
-            parallel_executor=config.parallel_executor,
-        ).plan(query)
+        plan = make_planner(self.catalog).plan(query)
         with self._plan_cache_lock:
             if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
                 self._plan_cache.popitem(last=False)

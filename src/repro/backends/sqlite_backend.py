@@ -173,8 +173,9 @@ class SqliteBackend(ExecutionBackend):
     def __init__(self, catalog) -> None:
         super().__init__(catalog)
         self.dialect: SqliteDialect = get_dialect("sqlite")
-        # check_same_thread off: the sharded backend scatters per-shard
-        # queries on pool threads.  The stdlib module is compiled in
+        # check_same_thread off: a database served by ``start_in_thread``
+        # runs statements on the server's engine thread and on the
+        # embedding program's own thread.  The stdlib module is compiled in
         # serialized mode (sqlite3.threadsafety == 3), so cross-thread
         # use of one connection is locked inside SQLite itself.
         self._con = sqlite3.connect(":memory:", check_same_thread=False)

@@ -58,7 +58,7 @@ class Catalog:
         # ``start_in_thread`` (``ServerHandle``) has two callers, the
         # server's engine thread and the embedding program's own thread,
         # and a concurrent double-collect would bump ``stats_epoch`` twice
-        # and waste two heap passes.  (Morsel workers never analyze.)
+        # and waste two heap passes.
         self._analyze_lock = threading.Lock()
 
     # -- tables -------------------------------------------------------------

@@ -27,7 +27,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,7 +46,6 @@ from repro.errors import (
 )
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.query_tree import Query
-from repro.backends.base import EngineConfig
 from repro.executor.context import ExecContext
 from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import PlanNode
@@ -242,7 +241,7 @@ class _StatementCache:
         # program's own thread; OrderedDict reordering + eviction is not
         # atomic, so all cache operations serialize on this lock (they
         # are dict-speed — the lock is never held across parsing or
-        # execution).  Morsel workers never touch the cache.
+        # execution).
         self._lock = threading.Lock()
 
     def get(self, key: tuple) -> Optional[Any]:
@@ -291,8 +290,6 @@ class PermDatabase:
         provenance_module_enabled: bool = True,
         backend: "BackendSpec" = "python",
         statement_cache_size: int = 64,
-        parallel_workers: int = 1,
-        parallel_executor: str = "thread",
         shards: Optional[int] = None,
         shard_keys: Optional[dict] = None,
         auto_analyze: bool = True,
@@ -302,9 +299,6 @@ class PermDatabase:
     ) -> None:
         from repro.backends import create_backend
 
-        # Validated before anything else is built: a bad setting fails
-        # here, not at the first query that would use it.
-        self._config = EngineConfig(parallel_workers, parallel_executor)
         self.catalog = Catalog()
         self.provenance_module_enabled = provenance_module_enabled
         #: Refresh stale ANALYZE statistics automatically once a table
@@ -323,7 +317,6 @@ class PermDatabase:
                 )
 
         self._backend = create_backend(backend, self.catalog)
-        self._backend.configure(self._config)
         self._stmt_cache = _StatementCache(statement_cache_size)
         # Durability last: attaching recovers any existing WAL directory
         # by replaying statements through this (fully constructed) db.
@@ -355,45 +348,8 @@ class PermDatabase:
         from repro.backends import create_backend
 
         replacement = create_backend(backend, self.catalog)
-        replacement.configure(self._config)
         self._backend.close()
         self._backend = replacement
-
-    # -- morsel-driven parallelism ----------------------------------------------
-
-    @property
-    def parallel_workers(self) -> int:
-        """Fan-out for morsel-driven parallel query execution.
-
-        ``1`` (the default) keeps execution fully serial; ``N > 1`` lets
-        the planner insert exchange operators that run parallel-safe
-        scan pipelines on ``N`` worker threads (:mod:`repro.parallel`);
-        ``None`` resolves to the host CPU count.  Only the Python
-        backend parallelizes.
-        """
-        return self._config.parallel_workers
-
-    @parallel_workers.setter
-    def parallel_workers(self, value) -> None:
-        self._config = replace(self._config, parallel_workers=value)
-        self._backend.configure(self._config)
-
-    @property
-    def parallel_executor(self) -> str:
-        """Worker-pool strategy for parallel dispatch.
-
-        ``thread`` (default) runs morsels and shard scatter on the
-        shared thread pool; ``process`` forks GIL-free workers that
-        inherit the columnar caches copy-on-write and pickle results
-        back; ``serial`` disables concurrent dispatch while keeping the
-        exchange/scatter plumbing (differential oracle).
-        """
-        return self._config.parallel_executor
-
-    @parallel_executor.setter
-    def parallel_executor(self, value: str) -> None:
-        self._config = replace(self._config, parallel_executor=value)
-        self._backend.configure(self._config)
 
     # -- statistics (ANALYZE) ---------------------------------------------------
 
@@ -724,14 +680,7 @@ class PermDatabase:
             "-- logical query tree (after optimization) --",
             format_query_tree(query),
         ]
-        from repro.parallel import resolve_worker_count
-
-        plan = make_planner(
-            self.catalog,
-            parallel_workers=resolve_worker_count(self._config.parallel_workers),
-            morsel_size=getattr(self._backend, "morsel_size", None),
-            parallel_executor=self._config.parallel_executor,
-        ).plan(query)
+        plan = make_planner(self.catalog).plan(query)
         describe_scatter = getattr(self._backend, "describe_scatter", None)
         if describe_scatter is not None:
             sections += ["-- sharding --", describe_scatter(query)]
@@ -1123,8 +1072,6 @@ class PermDatabase:
 def connect(
     provenance_module_enabled: bool = True,
     backend: "BackendSpec" = "python",
-    parallel_workers: int = 1,
-    parallel_executor: str = "thread",
     shards: Optional[int] = None,
     shard_keys: Optional[dict] = None,
     auto_analyze: bool = True,
@@ -1141,14 +1088,8 @@ def connect(
     The Python engine always runs batch-at-a-time with scan→filter→
     project chains fused into generated kernels (``docs/executor.md``).
     Planning is cost-based: one planner orders joins and picks operators
-    from ANALYZE statistics (``docs/planner.md``).
-    ``parallel_workers=N`` (N > 1, or ``None`` for one per core) turns
-    on morsel-driven parallel execution of eligible scan pipelines;
-    the default 1 keeps execution serial.
-    ``parallel_executor="process"`` dispatches morsels and shard
-    scatter on fork-based worker processes (GIL-free) instead of the
-    shared thread pool; an unknown executor name or a non-integer
-    worker count raises :class:`~repro.errors.PermError` here.
+    from ANALYZE statistics (``docs/planner.md``).  Every statement runs
+    serially, on the calling thread.
     ``auto_analyze=False`` disables automatic
     refresh of stale ANALYZE statistics.
 
@@ -1172,8 +1113,6 @@ def connect(
     return PermDatabase(
         provenance_module_enabled=provenance_module_enabled,
         backend=backend,
-        parallel_workers=parallel_workers,
-        parallel_executor=parallel_executor,
         shards=shards,
         shard_keys=shard_keys,
         auto_analyze=auto_analyze,

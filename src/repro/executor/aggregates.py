@@ -25,13 +25,12 @@ class AggState:
     (float sums) differ only by partial-sum regrouping.
 
     ``merge`` folds another state of the same kind into this one — the
-    combine step of morsel-parallel partial aggregation
-    (:class:`~repro.parallel.exchange.ExchangeNode`).  Every state is a
-    commutative monoid under merge; provenance states are *semiring*
-    merges (:class:`PolySumState` merges by polynomial addition), so
-    parallel provenance aggregation stays inside the N[X] algebra.
-    Merges are applied in morsel order, keeping fold-sensitive results
-    deterministic for a fixed worker/morsel configuration.
+    shard gatherer's re-aggregation
+    (:func:`repro.sharding.merge._reaggregate`), which lifts each
+    shard's final value back into a state.  Only the states it admits
+    define it: ``count(*)``, ``sum``, ``min``, ``max`` and
+    ``perm_poly_sum``.  :class:`PolySumState` merges by polynomial
+    addition, so gathered provenance stays inside the N[X] algebra.
     """
 
     __slots__ = ()
@@ -89,9 +88,6 @@ class CountState(AggState):
     def add_many(self, values: list) -> None:
         self.n += sum(1 for value in values if value is not None)
 
-    def merge(self, other: "CountState") -> None:
-        self.n += other.n
-
     def result(self) -> int:
         return self.n
 
@@ -140,10 +136,6 @@ class AvgState(AggState):
         if present:
             self.total += sum(present)
             self.n += len(present)
-
-    def merge(self, other: "AvgState") -> None:
-        self.total += other.total
-        self.n += other.n
 
     def result(self) -> Optional[float]:
         return self.total / self.n if self.n else None
@@ -224,7 +216,7 @@ class PolySumState(AggState):
 
     def merge(self, other: "PolySumState") -> None:
         # Semiring-native combine: partial provenance annotations from
-        # two morsel ranges add in N[X], exactly like the serial fold.
+        # two shards add in N[X], exactly like the serial fold.
         self.total = self.total + other.total
 
     def result(self) -> Any:
@@ -245,12 +237,6 @@ class DistinctWrapper(AggState):
             return
         self.seen.add(value)
         self.inner.add(value)
-
-    def merge(self, other: "DistinctWrapper") -> None:
-        # Replay the other worker's distinct values; cross-worker
-        # duplicates are filtered here exactly like in-worker ones.
-        for value in other.seen:
-            self.add(value)
 
     def result(self) -> Any:
         return self.inner.result()

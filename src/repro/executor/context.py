@@ -33,10 +33,6 @@ class ExecContext:
     prefix (rows are append-only within an epoch) and raise when the
     epoch moved (TRUNCATE), giving the server its cheap MVCC read token.
 
-    ``morsel`` is the ``(start, stop)`` physical row range a parallel
-    worker is restricted to; it is set only on worker-forked contexts
-    (:meth:`fork_morsel`) and consumed by the pipeline's base scan.
-
     ``deadline`` is a ``time.monotonic()`` instant after which long
     loops abort with an :class:`ExecutionError` — cooperative
     cancellation for per-request timeouts, checked at chunk granularity
@@ -48,7 +44,6 @@ class ExecContext:
         "caches",
         "batch_size",
         "snapshot",
-        "morsel",
         "deadline",
     )
 
@@ -64,7 +59,6 @@ class ExecContext:
         self.caches: dict[Any, Any] = {}
         self.batch_size = batch_size
         self.snapshot = snapshot
-        self.morsel: Optional[tuple[int, int]] = None
         self.deadline = deadline
 
     def push_outer(self, row: tuple) -> None:
@@ -101,21 +95,3 @@ class ExecContext:
         deadline = self.deadline
         if deadline is not None and time.monotonic() >= deadline:
             raise ExecutionError("query canceled: execution timeout exceeded")
-
-    # -- parallel workers ---------------------------------------------------
-
-    def fork_morsel(self, start: int, stop: int) -> "ExecContext":
-        """A fresh context for one morsel of a parallel pipeline.
-
-        Caches are deliberately *not* shared: exchange pipelines are
-        parallel-safe by construction (no sublinks, no materialized
-        spools), so each worker keeps private memoization and no
-        cross-thread locking is needed on the hot path.
-        """
-        clone = ExecContext(
-            batch_size=self.batch_size,
-            snapshot=self.snapshot,
-            deadline=self.deadline,
-        )
-        clone.morsel = (start, stop)
-        return clone

@@ -308,7 +308,9 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 #: Compiled-regex memo for *dynamic* LIKE patterns (the pattern is an
 #: expression, so each row may produce a different — but in practice
 #: heavily repeated — pattern string).  ``lru_cache`` is thread-safe,
-#: which matters because parallel morsel workers share this cache.
+#: which matters because a database served by ``start_in_thread`` runs
+#: statements on the server's engine thread and on the embedding
+#: program's own thread, and both share this cache.
 _cached_like_regex = functools.lru_cache(maxsize=256)(like_to_regex)
 
 

@@ -79,8 +79,7 @@ from repro.executor.nodes import (
 )
 from repro.storage.chunk import Chunk
 
-#: Plan-tree child links the fusion walk rewrites in place (the same
-#: links :mod:`repro.parallel.planning` traverses).
+#: Plan-tree child links the fusion walk rewrites in place.
 _CHILD_ATTRS = ("child", "left", "right")
 
 
@@ -341,7 +340,6 @@ class FusedPipelineNode(PlanNode):
         self.output_names = list(fallback.output_names)
         self.estimate = fallback.estimate
         self.batch_size_hint = fallback.batch_size_hint
-        self.parallel_safe = fallback.parallel_safe
 
     def children(self) -> list[PlanNode]:
         return [self.child]
@@ -364,10 +362,6 @@ class FusedPipelineNode(PlanNode):
 # ---------------------------------------------------------------------------
 # Chain detection and code generation
 # ---------------------------------------------------------------------------
-
-
-def _chain_parallel_safe(nodes: list[PlanNode]) -> bool:
-    return all(node.parallel_safe for node in nodes)
 
 
 def _try_fuse(root: PlanNode) -> Optional[FusedPipelineNode]:
@@ -445,12 +439,7 @@ def _try_fuse(root: PlanNode) -> Optional[FusedPipelineNode]:
         list(scan.output_names),
         columns=list(scan.columns) if scan.columns is not None else None,
     )
-    bare.parallel_safe = scan.parallel_safe
-    fused = FusedPipelineNode(
-        bare, root, namespace["_fused"], n_predicates, source
-    )
-    fused.parallel_safe = _chain_parallel_safe([root, *mids, scan])
-    return fused
+    return FusedPipelineNode(bare, root, namespace["_fused"], n_predicates, source)
 
 
 def fuse_pipelines(plan: PlanNode) -> PlanNode:

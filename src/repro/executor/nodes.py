@@ -89,12 +89,6 @@ class PlanNode:
     output_names: list[str]
     estimate: float
     batch_size_hint: Optional[int] = None
-    #: Whether this node may run inside a morsel-parallel worker.  The
-    #: planner clears it on nodes whose expressions depend on
-    #: per-execution shared state (sublinks, correlated outer refs);
-    #: :func:`repro.parallel.planning.insert_exchanges` only wraps
-    #: pipelines where every node keeps the default.
-    parallel_safe: bool = True
 
     def run(self, ctx: ExecContext) -> Iterator[Row]:
         """The rows of :meth:`run_batches`, one tuple at a time."""
@@ -145,30 +139,17 @@ class SeqScan(PlanNode):
         self.predicates: list[BatchExpr] = []
         self.estimate = float(max(table.row_count(), 1))
 
-    def _bounds(self, ctx: ExecContext) -> tuple[int, int]:
-        """The physical row range this execution may read: the morsel
-        range (parallel worker) intersected with the snapshot-visible
-        prefix (server MVCC token)."""
-        stop = self.table.row_count()
-        visible = ctx.snapshot_stop(self.table)
-        if visible is not None:
-            stop = min(stop, visible)
-        start = 0
-        if ctx.morsel is not None:
-            morsel_start, morsel_stop = ctx.morsel
-            start = max(start, morsel_start)
-            stop = min(stop, morsel_stop)
-        return start, max(start, stop)
-
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
         kernels = self.predicates
-        start, stop = 0, None
-        if ctx.snapshot is not None or ctx.morsel is not None:
-            start, stop = self._bounds(ctx)
+        stop = None
+        if ctx.snapshot is not None:
+            # A snapshot read sees the heap prefix visible when the
+            # snapshot was taken (the server's MVCC token).
+            stop = ctx.snapshot_stop(self.table)
+            if stop is None:
+                stop = self.table.row_count()
         deadline = ctx.deadline
-        for chunk in self.table.scan_chunks(
-            ctx.batch_size, self.columns, start=start, stop=stop
-        ):
+        for chunk in self.table.scan_chunks(ctx.batch_size, self.columns, stop=stop):
             if deadline is not None:
                 ctx.check_deadline()
             if kernels:
@@ -848,19 +829,6 @@ class HashAggregate(PlanNode):
         return f"HashAggregate ({len(self.group_exprs)} keys, {len(self.agg_factories)} aggs)"
 
     def run_batches(self, ctx: ExecContext) -> Iterator[Chunk]:
-        groups, order, grand_states = self._accumulate_batches(ctx)
-        yield from self._emit_batches(groups, order, grand_states, ctx)
-
-    def _accumulate_batches(
-        self, ctx: ExecContext
-    ) -> tuple[dict[tuple, list[AggState]], list[tuple], Optional[list[AggState]]]:
-        """Drain the child and build per-group accumulator states.
-
-        Split out of :meth:`run_batches` so a morsel-parallel exchange
-        can run the accumulation once per worker (each restricted to its
-        morsel range via the context) and merge the partial states —
-        returns ``(groups, first-encounter key order, grand states)``.
-        """
         factories = self.agg_factories
         group_kernels = self.group_exprs
         arg_kernels = self.unique_args
@@ -922,17 +890,7 @@ class HashAggregate(PlanNode):
                         values = [column[i] for i in positions]
                         gathered[slot] = values
                     states[index].add_many(values)
-        return groups, order, grand_states
 
-    def _emit_batches(
-        self,
-        groups: dict[tuple, list[AggState]],
-        order: list[tuple],
-        grand_states: Optional[list[AggState]],
-        ctx: ExecContext,
-    ) -> Iterator[Chunk]:
-        """Finalize accumulated states into output chunks."""
-        factories = self.agg_factories
         width = self.width()
         if grand_states is not None:
             yield Chunk.from_rows(

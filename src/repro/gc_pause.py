@@ -4,8 +4,6 @@ The collector re-walks a statement's live intermediates and frees almost
 nothing; docs/executor.md has the counts and the reasoning.  It is paused
 only while exactly one statement is in flight, nested same-thread
 statements count as one, and the embedder's setting always comes back.
-Fork workers inherit the pause harmlessly: a child lives for one call and
-leaves through ``os._exit``.
 """
 
 from __future__ import annotations

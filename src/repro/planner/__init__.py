@@ -27,21 +27,14 @@ def make_planner(
     fuse_pipelines: bool = True,
     parallel_executor: str = "thread",
 ) -> Planner:
-    """A root :class:`Planner` configured for one statement.
+    """A root :class:`Planner` for one statement.
 
-    ``parallel_workers > 1`` enables the exchange-insertion post-pass
-    (morsel-driven parallelism, :mod:`repro.parallel`);
-    ``parallel_executor`` picks the worker-pool strategy exchanges
-    dispatch on (``thread`` / ``process`` / ``serial``).
-    ``cost_based``, ``vectorize`` and ``fuse_pipelines`` are accepted and
-    ignored: there is one planner, and every plan runs batch-at-a-time
-    with fused scan→filter→project kernels.
+    ``cost_based``, ``vectorize``, ``fuse_pipelines``,
+    ``parallel_workers``, ``morsel_size`` and ``parallel_executor`` are
+    accepted and ignored: there is one planner, and every plan runs
+    serially, batch-at-a-time, with fused scan→filter→project kernels.
     """
-    planner = Planner(catalog, outer_varmaps, shared)
-    planner.parallel_workers = parallel_workers
-    planner.morsel_size = morsel_size
-    planner.parallel_executor = parallel_executor
-    return planner
+    return Planner(catalog, outer_varmaps, shared)
 
 
 __all__ = ["Planner", "make_planner"]

@@ -158,21 +158,6 @@ class _SharedSubplans:
         return node
 
 
-def _expr_parallel_safe(expr: ex.Expr) -> bool:
-    """Whether an expression may evaluate inside a morsel worker.
-
-    Sublinks are excluded because their subplans execute against
-    per-execution caches and (when correlated) the outer-row stack;
-    outer Vars (``levelsup > 0``) are excluded for the same reason —
-    both read context state an exchange worker does not carry.
-    """
-    return not any(
-        isinstance(node, ex.SubLink)
-        or (isinstance(node, ex.Var) and node.levelsup > 0)
-        for node in ex.walk(expr)
-    )
-
-
 class Planner:
     """Statistics-driven physical planning.
 
@@ -209,18 +194,6 @@ class Planner:
     #: Floor for cost-bounded batch sizes.
     MIN_BATCH_SIZE = 4096
 
-    #: Morsel-parallel fan-out for the exchange-insertion post-pass
-    #: (:mod:`repro.parallel.planning`); 1 disables it.  Set by
-    #: :func:`repro.planner.make_planner` on root planners only — child
-    #: planners (sublinks, set-op arms) keep the default, the root's
-    #: post-pass walks the whole reachable tree anyway.
-    parallel_workers: int = 1
-    #: Morsel size override for inserted exchanges (None = default).
-    morsel_size: Optional[int] = None
-    #: Worker-pool strategy inserted exchanges dispatch on
-    #: (``thread`` / ``process`` / ``serial``).
-    parallel_executor: str = "thread"
-
     def __init__(
         self,
         catalog: Catalog,
@@ -231,10 +204,6 @@ class Planner:
 
         self.catalog = catalog
         self.outer_varmaps = list(outer_varmaps or [])
-        # Root planners (fresh shared-subplan registry) own statement-
-        # level post-passes such as exchange insertion; spawned child
-        # planners inherit the registry and skip them.
-        self._root = shared is None
         self.shared = shared if shared is not None else _SharedSubplans()
         # Output column statistics of the most recently planned query
         # (parallel to its visible+junk target list); consumed by parent
@@ -260,21 +229,7 @@ class Planner:
         """
         from repro.executor.fusion import fuse_pipelines
 
-        plan = fuse_pipelines(self._plan_query(query, joined))
-        if self._root and self.parallel_workers > 1:
-            # Statement-level parallelization: wrap parallel-safe
-            # scan→filter→project(→partial-aggregate) pipelines in
-            # exchange nodes.  Root planners only — the pass reaches
-            # subquery plans through the finished tree.
-            from repro.parallel.planning import insert_exchanges
-
-            plan = insert_exchanges(
-                plan,
-                self.parallel_workers,
-                self.morsel_size,
-                strategy=self.parallel_executor,
-            )
-        return plan
+        return fuse_pipelines(self._plan_query(query, joined))
 
     def _plan_query(
         self, query: Query, joined: Optional["_Unit"] = None
@@ -345,8 +300,6 @@ class Planner:
         """A FilterNode for one conjunct over ``plan``."""
         node = FilterNode(plan, [compiler.compile_batch(conjunct)])
         node.fusion = (compiler.varmap, [conjunct])
-        if not _expr_parallel_safe(conjunct):
-            node.parallel_safe = False
         return node
 
     def _push_conjunct(self, unit: "_Unit", conjunct: ex.Expr) -> None:
@@ -374,10 +327,6 @@ class Planner:
         else:
             plan = unit.plan = FilterNode(plan, [kernel])
             plan.fusion = (unit.varmap, [conjunct])
-        if not _expr_parallel_safe(conjunct):
-            # The node now carrying this conjunct must not run inside a
-            # morsel worker.
-            plan.parallel_safe = False
         bound = self._cost.range_bound(conjunct, unit.scope)
         if bound is None:
             sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
@@ -420,8 +369,6 @@ class Planner:
             exprs=[None if s is not None else compiler.compile(e) for e, s in pairs],
         )
         node.fusion = (compiler.varmap, list(target_exprs))
-        if not all(_expr_parallel_safe(e) for e in target_exprs):
-            node.parallel_safe = False
         return node
 
     # -- RTE plans ------------------------------------------------------------------
@@ -846,11 +793,6 @@ class Planner:
             [input_compiler.compile_batch(e) for e in unique_arg_exprs],
             output_names,
         )
-        if not all(
-            _expr_parallel_safe(e)
-            for e in [*query.group_clause, *unique_arg_exprs]
-        ):
-            agg_plan.parallel_safe = False
         agg_plan.estimate = self._cost.group_estimate(
             query.group_clause, joined.scope, max(joined.plan.estimate, 1.0)
         )

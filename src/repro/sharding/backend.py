@@ -10,18 +10,10 @@ typed fallbacks.  Per query it
    (cached per analyzed tree, keyed like the python backend's plan
    cache and flushed on catalog epoch changes),
 3. scatters the shard query to the relevant shards — pruned to ``k/N``
-   when shard-key predicates allow — over the configured worker
-   strategy (in-line for python children, whose GIL-bound kernels gain
-   nothing from threads; a thread pool for sqlite children, which
-   release the GIL inside the C library; fork-based processes when
-   ``parallel_executor="process"``), and
+   when shard-key predicates allow — in-line, one shard after the
+   other on the calling thread, and
 4. gather-merges the partials semiring-natively
    (:mod:`repro.sharding.merge`).
-
-:meth:`ShardedBackend.configure` hands the database's
-:class:`~repro.backends.base.EngineConfig` to the children and the
-fallback backend, so they run with the same settings as the unsharded
-engine.
 """
 
 from __future__ import annotations
@@ -31,9 +23,8 @@ from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.analyzer.query_tree import Query
-from repro.backends.base import EngineConfig, ExecutionBackend, collect_base_relations
+from repro.backends.base import ExecutionBackend, collect_base_relations
 from repro.catalog.catalog import Catalog
-from repro.parallel.dispatch import get_strategy
 from repro.sharding.analysis import FallbackDecision, ScatterDecision, decide
 from repro.sharding.merge import merge_results
 from repro.sharding.partition import Partitioner
@@ -81,11 +72,6 @@ class ShardedBackend(ExecutionBackend):
         self.fallback_reasons: Counter = Counter()
         self.shard_queries = [0] * self.partitioner.shards
         self.shard_rows = [0] * self.partitioner.shards
-
-    def configure(self, config: EngineConfig) -> None:
-        super().configure(config)
-        for backend in (self.local, *self.children):
-            backend.configure(config)
 
     # ------------------------------------------------------------------
     # decisions
@@ -148,48 +134,19 @@ class ShardedBackend(ExecutionBackend):
     ) -> list["QueryResult"]:
         shard_query = decision.shard_query
         controls = self.supports_execution_controls
-
-        def make_task(shard_id: int):
+        partials = []
+        for shard_id in decision.shards:
             child = self.children[shard_id]
             shard_snapshot = (
                 shard_snapshots[shard_id] if shard_snapshots is not None else None
             )
-
-            def task() -> "QueryResult":
-                if controls and (shard_snapshot is not None or timeout is not None):
-                    return child.run_select(
-                        shard_query, snapshot=shard_snapshot, timeout=timeout
-                    )
-                return child.run_select(shard_query)
-
-            return task
-
-        tasks = [make_task(shard_id) for shard_id in decision.shards]
-        if len(tasks) == 1:
-            return [tasks[0]()]
-        strategy_name = self._scatter_strategy()
-        if strategy_name == "process":
-            # build columnar caches up front so forked children share
-            # them copy-on-write instead of each transposing a copy
-            self.partitioner.warm_columnar(
-                collect_base_relations(shard_query), decision.shards
-            )
-        strategy = get_strategy(strategy_name, len(tasks))
-        return strategy.map_ordered(tasks)
-
-    def _scatter_strategy(self) -> str:
-        executor = self.config.parallel_executor
-        if executor == "process" and self.supports_execution_controls:
-            return "process"
-        if executor == "serial":
-            return "serial"
-        if self.supports_execution_controls:
-            # Pure-Python children run CPU-bound kernels that hold the
-            # GIL, so a thread pool serializes anyway and the contention
-            # roughly doubles unpruned full scans.  Scatter in-line and
-            # leave real parallelism to ``parallel_executor="process"``.
-            return "serial"
-        return "thread"
+            if controls and (shard_snapshot is not None or timeout is not None):
+                partials.append(
+                    child.run_select(shard_query, snapshot=shard_snapshot, timeout=timeout)
+                )
+            else:
+                partials.append(child.run_select(shard_query))
+        return partials
 
     # ------------------------------------------------------------------
     # introspection
@@ -197,7 +154,7 @@ class ShardedBackend(ExecutionBackend):
     def describe(self) -> str:
         return (
             f"hash-sharded scatter-gather over {self.partitioner.shards} "
-            f"{self.child_name} shard(s), {self._scatter_strategy()} scatter"
+            f"{self.child_name} shard(s), in-line scatter"
         )
 
     def describe_scatter(self, query: Query) -> str:
@@ -219,7 +176,6 @@ class ShardedBackend(ExecutionBackend):
         return {
             "shards": self.partitioner.shards,
             "child_backend": self.child_name,
-            "executor": self._scatter_strategy(),
             "scattered": self.scattered,
             "pruned_queries": self.pruned_queries,
             "local_fallbacks": self.local_fallbacks,

@@ -362,16 +362,3 @@ class Partitioner:
                     }
                 )
             return out
-
-    def warm_columnar(self, names: Iterable[str], shard_ids: Iterable[int]) -> None:
-        """Materialise shard columnar caches before a fork-based scatter.
-
-        Building the caches in the parent lets forked children share the
-        pages copy-on-write instead of each transposing its own copy.
-        """
-        with self._lock:
-            for shard_id in shard_ids:
-                shard = self.shard_catalogs[shard_id]
-                for name in names:
-                    if shard.has_table(name):
-                        shard.table(name).columnar()

@@ -67,11 +67,12 @@ class Table:
         # rows must not serve the pre-truncate columns.
         self._columns: list[list] | None = None
         self._columns_state: tuple[int, int] = (-1, -1)
-        # Serializes columnar-cache rebuilds: concurrent scans (morsel
-        # workers, server requests) may race on a stale cache, and each
-        # would otherwise redo the full transpose.  Appends themselves
-        # stay lock-free — CPython list.append is atomic and within one
-        # epoch the row list only grows.
+        # Serializes columnar-cache rebuilds: a database served by
+        # ``start_in_thread`` scans on the server's engine thread and on
+        # the embedding program's own thread, which may race on a stale
+        # cache, and each would otherwise redo the full transpose.
+        # Appends themselves stay lock-free — CPython list.append is
+        # atomic and within one epoch the row list only grows.
         self._columns_lock = threading.Lock()
         # Per-statement delta log (``TableDelta``): what each DML
         # statement inserted/deleted, for consumers that maintain
@@ -246,7 +247,6 @@ class Table:
         self,
         batch_size: int = DEFAULT_BATCH_SIZE,
         columns: list[int] | None = None,
-        start: int = 0,
         stop: int | None = None,
     ) -> Iterator[Chunk]:
         """Scan the heap as columnar chunks (the vectorized SeqScan source).
@@ -264,24 +264,21 @@ class Table:
         larger scale factors scans stream bounded chunks instead of
         SF-sized single ones.
 
-        ``start``/``stop`` bound the scan to a physical row range — the
-        substrate for both morsel-driven parallelism (each worker scans
-        one range) and snapshot reads (the visible prefix of the heap at
-        snapshot time; within one epoch rows are append-only, so a row
+        ``stop`` bounds the scan to a heap prefix — the substrate for
+        snapshot reads (within one epoch rows are append-only, so a row
         count *is* a snapshot token).  A snapshot that covers the whole
         heap still takes the zero-copy path.
         """
         total = len(self._rows)
-        bounded = start != 0 or stop is not None
+        bounded = stop is not None
         stop = total if stop is None else min(stop, total)
-        start = max(start, 0)
-        if start >= stop:
+        if stop <= 0:
             return
         batch_size = max(int(batch_size), 1)
         data = self.columnar()
         # The range is the whole cache: no append landed after ``stop``
         # was read (or after the snapshot was taken).
-        covering = start == 0 and stop <= batch_size and len(data[0]) == stop
+        covering = stop <= batch_size and len(data[0]) == stop
         narrow = columns is not None
         if narrow:
             data = [data[i] for i in columns]
@@ -296,7 +293,7 @@ class Table:
                 phys_rows = self._rows[:stop] if bounded else self._rows
             yield Chunk(columns=data, nrows=stop, width=len(data), phys_rows=phys_rows)
             return
-        for lower in range(start, stop, batch_size):
+        for lower in range(0, stop, batch_size):
             upper = min(lower + batch_size, stop)
             yield Chunk(
                 columns=[col[lower:upper] for col in data],

@@ -309,9 +309,8 @@ def test_explain_without_analyze_does_not_execute():
 
 def _plan_node_classes():
     from repro.executor import fusion, nodes
-    from repro.parallel import exchange
 
-    for module in (nodes, fusion, exchange):
+    for module in (nodes, fusion):
         for value in vars(module).values():
             if (
                 inspect.isclass(value)
@@ -324,7 +323,7 @@ def _plan_node_classes():
 
 def test_no_plan_node_defines_its_own_row_path():
     classes = list(_plan_node_classes())
-    assert len(classes) == 16  # 14 in nodes.py, the fused and exchange nodes
+    assert len(classes) == 15  # 14 in nodes.py and the fused node
     assert [cls.__name__ for cls in classes if "run" in vars(cls)] == []
     assert all("run_batches" in vars(cls) for cls in classes)
 
@@ -346,24 +345,35 @@ def test_connect_has_no_engine_mode_toggles():
     assert "fuse_pipelines" not in parameters
     assert "cost_based" not in parameters
     assert "optimize" not in parameters
-    assert len(parameters) == 10
+    assert "parallel_workers" not in parameters
+    assert "parallel_executor" not in parameters
+    assert len(parameters) == 8
     database_parameters = inspect.signature(repro.PermDatabase).parameters
     assert "vectorize" not in database_parameters
     assert "fuse_pipelines" not in database_parameters
     assert "cost_based" not in database_parameters
     assert "optimize" not in database_parameters
+    assert "parallel_workers" not in database_parameters
+    assert "parallel_executor" not in database_parameters
     db = repro.connect()
     assert not hasattr(db, "vectorize_enabled")
     assert not hasattr(db, "fuse_pipelines_enabled")
     assert not hasattr(db, "cost_based_enabled")
     assert not hasattr(db, "optimizer_enabled")
+    assert not hasattr(db, "parallel_workers")
+    assert not hasattr(db, "parallel_executor")
     with pytest.raises(TypeError):
         repro.connect(optimize=False)
+    with pytest.raises(TypeError):
+        repro.connect(parallel_workers=2)
+    with pytest.raises(TypeError):
+        repro.connect(parallel_executor="thread")
 
 
 def test_deleted_modes_survive_only_as_ignored_surface():
     # The benchmark harness reaches the engine through these names.
     from repro.backends import PythonBackend
+    from repro.parallel import resolve_worker_count
     from repro.planner import make_planner
     from repro.sql.parser import parse_sql
     from repro.tpch.dbgen import tpch_database
@@ -376,8 +386,10 @@ def test_deleted_modes_survive_only_as_ignored_surface():
 
     db = tpch_database(scale_factor=0.001, seed=42)
     backend = db.backend
-    assert (backend.parallel_workers, backend.parallel_executor) == (1, "thread")
+    assert (backend.parallel_workers, backend.parallel_executor) == (1, "serial")
     assert backend.morsel_size is None
+    assert resolve_worker_count(backend.parallel_workers) == 1
+    assert resolve_worker_count(None) == 1
     for sql in (
         generate_query(3, seed=7, provenance=True),
         "SELECT PROVENANCE n_name FROM nation WHERE n_regionkey = 1",

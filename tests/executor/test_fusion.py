@@ -7,7 +7,7 @@ kernel is also checked against the operator chain it replaced: each
 :func:`assert_fused_kernels_match_fallbacks` runs both on the same
 data.  The remaining tests pin the mechanics: which chains fuse, which
 fall back, and that the fused node composes with EXPLAIN
-instrumentation and morsel parallelism.
+instrumentation.
 """
 
 from __future__ import annotations
@@ -133,19 +133,6 @@ def test_fused_node_run_adapter_matches_batches(db):
 def test_fuse_pass_leaves_unfusible_plans_alone(db):
     scan = SeqScan(db.catalog.table("t"), ["a", "b", "s"])
     assert fuse_pipelines(scan) is scan
-
-
-def test_fusion_composes_with_morsel_parallelism():
-    db = repro.connect(parallel_workers=2)
-    db.execute("CREATE TABLE big (a integer, b integer)")
-    db.load_table("big", [(i, i % 7) for i in range(20000)])
-    db.execute("ANALYZE")
-    sql = "SELECT a + b FROM big WHERE b = 3 AND a < 15000"
-    plan = db.explain(sql)
-    assert "Exchange" in plan and "FusedPipeline" in plan
-    expected = sorted((a + a % 7,) for a in range(15000) if a % 7 == 3)
-    assert sorted(db.execute(sql).rows) == expected
-    assert assert_fused_kernels_match_fallbacks(db, sql) == 1
 
 
 def test_shell_has_no_fusion_toggle(capsys):

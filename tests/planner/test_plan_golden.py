@@ -27,10 +27,18 @@ def test_same_statements_are_pinned(plans):
 
 
 def test_deleted_planner_modes_plan_the_golden_bytes():
-    # ``cost_based``, ``vectorize`` and ``fuse_pipelines`` are accepted
-    # and ignored (the benchmark harness still passes them), so planning
-    # through them must reproduce the stored file byte for byte.
-    legacy = rendered(cost_based=False, vectorize=False, fuse_pipelines=False)
+    # ``cost_based``, ``vectorize``, ``fuse_pipelines`` and the morsel
+    # parallelism keywords are accepted and ignored (the benchmark
+    # harness still passes them), so planning through them must
+    # reproduce the stored file byte for byte.
+    legacy = rendered(
+        cost_based=False,
+        vectorize=False,
+        fuse_pipelines=False,
+        parallel_workers=4,
+        parallel_executor="process",
+        morsel_size=16,
+    )
     text = json.dumps(legacy, indent=1, sort_keys=True) + "\n"
     assert text == GOLDEN_PATH.read_text()
 

@@ -16,7 +16,7 @@ from repro.server.protocol import MAX_DRAIN, recv_frame
 
 @pytest.fixture()
 def served_db():
-    db = repro.connect(parallel_workers=2)
+    db = repro.connect()
     db.execute("CREATE TABLE t (a integer, b text)")
     db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
     handle = start_in_thread(db, request_timeout=30.0)

@@ -1,7 +1,7 @@
 """Concurrent-access stress tests for the shared caches.
 
 An embedder may call one database from many threads at once (its own
-threads beside the server's engine thread and morsel workers), so
+threads beside the server's engine thread under ``start_in_thread``), so
 ``Table.columnar()``, the prepared-statement LRU, the PythonBackend
 plan cache, and the catalog's (auto-)ANALYZE path all see genuine
 multi-threaded access.  These tests hammer each from many
@@ -83,9 +83,9 @@ def test_statement_and_plan_caches_under_concurrent_queries():
 
 
 def test_parallel_queries_from_concurrent_threads():
-    # Morsel workers and query threads share one global thread pool;
-    # concurrent parallel queries must still all be exactly right.
-    db = repro.connect(parallel_workers=2)
+    # Query threads share one database (plan cache, columnar cache,
+    # statement cache); concurrent queries must all be exactly right.
+    db = repro.connect()
     db.execute("CREATE TABLE t (a integer, b integer)")
     db.catalog.table("t").insert_many([(i, i % 3) for i in range(12000)])
     db.execute("ANALYZE")

@@ -54,6 +54,7 @@ def test_ddl_command_tag():
 def test_interactive_optimize_and_stats():
     script = (
         "\\optimize off\n"
+        "\\parallel 2\n"
         "SELECT name FROM shop;\n"
         "\\stats\n"
         "\\explain SELECT PROVENANCE name FROM shop\n"
@@ -67,8 +68,10 @@ def test_interactive_optimize_and_stats():
         timeout=120,
     )
     assert result.returncode == 0
-    # The optimizer always runs: there is no switch to turn it off.
+    # The optimizer always runs and execution is always serial: there
+    # is no switch for either.
     assert "unknown meta command '\\\\optimize'" in result.stdout
+    assert "unknown meta command '\\\\parallel'" in result.stdout
     assert "Merdies" in result.stdout
     assert "prepared-statement cache:" in result.stdout
     assert "after optimization" in result.stdout
@@ -116,9 +119,13 @@ def test_polynomial_provenance_command():
 
 
 def test_no_vectorize_flag_is_gone():
-    # There is one engine, one planner and an optimizer that always
-    # runs, so there is no flag to choose another path.
-    for flag in ("--no-vectorize", "--no-cost-based", "--no-optimize"):
+    # There is one engine, one serial execution path, one planner and an
+    # optimizer that always runs, so there is no flag to choose another
+    # path.
+    for flag in (
+        "--no-vectorize", "--no-cost-based", "--no-optimize",
+        "--workers=2", "--executor=thread",
+    ):
         result = run_cli(
             "--example", flag,
             "-c", "SELECT PROVENANCE name FROM shop WHERE numempl < 10",
@@ -181,7 +188,7 @@ def test_interactive_analyze_and_stats():
 
 def test_tpch_database_is_analyzed_and_plans_q5_without_blowup():
     args = argparse.Namespace(
-        tpch=0.005, example=False, backend="python", executor="thread",
+        tpch=0.005, example=False, backend="python",
         shards=None, shard_key=None, wal_dir=None, wal_sync="always",
     )
     db = _build_database(args)
