@@ -46,6 +46,7 @@ from repro.errors import (
 )
 from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.query_tree import Query
+from repro.core.registry import DEFAULT_STRATEGY
 from repro.executor.context import ExecContext
 from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import PlanNode
@@ -192,31 +193,24 @@ class PreparedQuery:
         )
 
 
-@dataclass(frozen=True)
-class _MatViewAnswer:
-    """Statement-cache marker: this SQL is answered from a materialized
-    provenance view.  Safe to cache because DML leaves the catalog epoch
-    (part of every cache key) untouched — staleness is the *view's*
-    problem, handled on every serve — while dropping the view is DDL and
-    rotates the key."""
-
-    view_name: str
-
-
 @dataclass
 class CompiledViewAnswer:
-    """What :meth:`PermDatabase.compile_select` returns when the SQL
-    matches a materialized provenance view.
+    """A statement-cache entry (and :meth:`PermDatabase.compile_select`
+    result) for SQL that restates a materialized provenance view.
 
-    Carries the normally-compiled query tree as the fallback:
-    :meth:`PermDatabase.run_compiled` serves the stored rows only when
-    the view's dependency state matches the request's snapshot token
-    exactly, and otherwise executes ``query`` under the snapshot like
-    any compiled statement.
+    :meth:`PermDatabase.run_compiled` serves the stored rows when the
+    view's dependency state matches the request's snapshot token (always,
+    without one), and otherwise compiles ``statement`` once — into
+    ``query`` — and executes it under the snapshot like any compiled
+    statement.  Safe to cache because DML leaves the catalog epoch (part
+    of every cache key) untouched — staleness is the *view's* problem,
+    handled on every serve — while dropping the view is DDL and rotates
+    the key.
     """
 
     view_name: str
-    query: Query
+    statement: ast.SelectNode
+    query: Optional[Query] = None
 
 
 class _StatementCache:
@@ -227,7 +221,7 @@ class _StatementCache:
     backend, which re-executes against the live data.  DDL bumps the
     catalog epoch, so schema changes produce new keys and stale entries
     age out via the LRU bound.  Entries may also be
-    :class:`_MatViewAnswer` markers routing the SQL to a materialized
+    :class:`CompiledViewAnswer` entries routing the SQL to a materialized
     provenance view instead of a tree.
     """
 
@@ -429,24 +423,21 @@ class PermDatabase:
         """Execute one or more ``;``-separated statements.
 
         Returns the result of the last statement (DDL returns an empty
-        result with a command tag).  Single-statement SELECTs hit the
-        prepared-statement cache: a repeat of the same text on the same
-        backend and catalog epoch skips the whole frontend pipeline.
-        ``sql`` may also be the parsed statements (the server parses
-        once to tell SELECTs from other statements); without the text
+        result with a command tag).  A single SELECT goes through the
+        statement cache (:meth:`lookup_or_compile`): a repeat of the same
+        text on the same backend and catalog epoch skips the whole
+        frontend pipeline.  ``sql`` may also be the parsed statements
+        (the server hands over the DDL/DML it parsed); without the text
         there is no cache key, so they bypass the statement cache.
         """
-        self._maybe_auto_analyze()
         if isinstance(sql, str):
-            key = self.cache_key(sql, "plain")
-            cached = self._stmt_cache.get(key)
-            if cached is not None:
-                return self._run_cached(cached)
-            statements = parse_sql(sql)
+            entry, _, statements = self.lookup_or_compile(sql)
+            if entry is not None:
+                return self.run_compiled(entry)
         else:
-            key, statements = None, sql
+            self._maybe_auto_analyze()
+            statements = sql
         result = QueryResult(columns=[], rows=[], command="EMPTY")
-        cacheable: Optional[Any] = None
         for stmt in statements:
             # Commit protocol for durable statements: apply, then append
             # the canonical printed form to the WAL, both under the
@@ -457,16 +448,9 @@ class PermDatabase:
             durable = self._durability is not None and _durable_statement(stmt)
             guard = self._durability.commit_lock if durable else _NO_COMMIT_LOCK
             with guard:
-                if isinstance(stmt, (ast.SelectStmt, ast.SetOpSelect)):
-                    query, result = self._execute_select(stmt)
-                    cacheable = query if len(statements) == 1 else None
-                else:
-                    result = self._execute_statement(stmt)
-                    cacheable = None
+                result = self._execute_statement(stmt)
                 if durable:
                     self._durability.log_statement(format_statement(stmt))
-        if cacheable is not None and key is not None:
-            self._stmt_cache.put(key, cacheable)
         return result
 
     def query(self, sql: str) -> QueryResult:
@@ -483,34 +467,47 @@ class PermDatabase:
         for semiring annotations); ``None`` keeps the default witness-list
         semantics.
         """
-        self._maybe_auto_analyze()
-        key = self.cache_key(sql, f"prov:{semantics or ''}")
-        cached = self._stmt_cache.get(key)
-        if cached is not None:
-            return self._run_cached(cached)
-        stmt = parse_select(sql, "provenance")
-        stmt.provenance = True
-        if semantics is not None:
-            stmt.provenance_type = semantics
-        query, result = self._execute_select(stmt)
-        if query is not None:
-            self._stmt_cache.put(key, query)
-        return result
+        entry, _, _ = self.lookup_or_compile(sql, semantics or DEFAULT_STRATEGY)
+        return self.run_compiled(entry)
 
     # -- prepared-statement cache ------------------------------------------
 
-    def _run_cached(self, cached: Any) -> QueryResult:
-        """Execute a statement-cache hit: a compiled tree runs on the
-        backend; a view marker serves the materialized rows."""
-        if isinstance(cached, _MatViewAnswer):
-            return self._serve_matview(self.catalog.matview(cached.view_name))
-        return self._backend.run_select(cached)
+    def lookup_or_compile(
+        self, sql: str, provenance: Optional[str] = None
+    ) -> tuple["Query | CompiledViewAnswer | None", bool, Optional[list[ast.Statement]]]:
+        """The compiled form of one SELECT text, from the statement cache.
 
-    def cache_key(self, sql: str, mode: Any) -> tuple:
-        """The key a compiled tree of ``sql`` is cached under, here and in
-        the server's session caches: ``mode`` names how it was compiled
-        (plain or which provenance semantics), and DDL, fresh statistics
-        and the Perm module switch all rotate the key."""
+        The one cache step that :meth:`execute`, :meth:`provenance` and
+        the server share.  ``provenance`` names the semantics to mark the
+        outermost SELECT with (``None``: compile the text as written).
+        Returns ``(entry, cached, statements)``: ``entry`` is a
+        :meth:`compile_select` result for :meth:`run_compiled` — taken
+        from the cache (``cached``) or compiled and stored now — or None
+        when the text is not a single SELECT; ``statements`` then holds
+        its parse, for :meth:`execute`.  Auto-ANALYZE runs first, so the
+        key names the statistics the statement is planned with.
+        """
+        self._maybe_auto_analyze()
+        mode = "plain" if provenance is None else provenance.lower()
+        key = self.cache_key(sql, mode)
+        entry = self._stmt_cache.get(key)
+        if entry is not None:
+            return entry, True, None
+        statements = parse_sql(sql)
+        stmt = statements[0] if len(statements) == 1 else None
+        if not isinstance(stmt, (ast.SelectStmt, ast.SetOpSelect)) or stmt.into:
+            if provenance is not None:
+                raise PermError("provenance semantics require a single SELECT statement")
+            return None, False, statements
+        entry = self.compile_select(stmt, provenance=None if provenance is None else mode)
+        self._stmt_cache.put(key, entry)
+        return entry, False, None
+
+    def cache_key(self, sql: str, mode: str) -> tuple:
+        """The key a compiled form of ``sql`` is cached under: ``mode`` is
+        ``"plain"`` or the lower-cased provenance semantics it was
+        compiled with, and DDL, fresh statistics and the Perm module
+        switch all rotate the key."""
         return (
             sql,
             mode,
@@ -561,43 +558,39 @@ class PermDatabase:
     @collector_paused
     def compile_select(
         self, sql: "str | ast.SelectNode", provenance: Optional[str] = None
-    ) -> Query:
+    ) -> "Query | CompiledViewAnswer":
         """Frontend pipeline only: parse → analyze → rewrite → optimize.
 
         Returns the executable query tree for :meth:`run_compiled`.
-        ``sql`` is the text of one SELECT or its parse tree (the server
-        parses once to tell SELECTs from other statements).
+        ``sql`` is the text of one SELECT or its parse tree.
         ``provenance`` marks the outermost SELECT like
         :meth:`provenance` does (``"witness"``, ``"polynomial"``, or a
-        registered strategy name).  Bypasses the statement cache:
-        callers (the server's session-scoped prepared-statement caches)
-        key compiled trees themselves.
+        registered strategy name).  A cold call: it neither reads nor
+        fills the statement cache (:meth:`lookup_or_compile` does both).
 
         When the statement restates a registered materialized
         provenance view the result is a :class:`CompiledViewAnswer`
-        wrapping the compiled tree — :meth:`run_compiled` then serves
-        the stored rows when the snapshot allows and falls back to the
-        tree otherwise.
+        instead, and the frontend does not run: :meth:`run_compiled`
+        serves the stored rows when the snapshot allows and compiles the
+        fallback tree only when it does not.
         """
         self._maybe_auto_analyze()
         stmt = parse_select(sql, "compile_select") if isinstance(sql, str) else sql
         if provenance is not None:
             stmt.provenance = True
             stmt.provenance_type = provenance
-        view = None
-        if getattr(stmt, "provenance", False):
-            view = self.catalog.matview_for_statement(stmt)
-        query, _ = self._analyze_and_rewrite(stmt)
-        if query.into is not None:
+        if stmt.into:
             raise PermError("compile_select() does not support SELECT INTO")
-        if view is not None:
-            return CompiledViewAnswer(view_name=view.name, query=query)
-        return query
+        if stmt.provenance:
+            view = self.catalog.matview_for_statement(stmt)
+            if view is not None:
+                return CompiledViewAnswer(view_name=view.name, statement=stmt)
+        return self._analyze_and_rewrite(stmt)[0]
 
     @collector_paused
     def run_compiled(
         self,
-        query: Query,
+        query: "Query | CompiledViewAnswer",
         snapshot: Optional[dict] = None,
         timeout: Optional[float] = None,
     ) -> QueryResult:
@@ -609,18 +602,21 @@ class PermDatabase:
         backends execute deparsed SQL and cannot honor engine-level
         execution controls.
 
-        A :class:`CompiledViewAnswer` serves the materialized rows only
-        when the view's recorded dependency states equal the snapshot
-        token (the stored result *is* the state the snapshot names);
-        any mismatch — including a view made unmaintainable by a
-        dropped base table — executes the wrapped tree under the
-        snapshot instead, preserving the typed ``snapshot too old``
-        contract for deleted-from tables.
+        A :class:`CompiledViewAnswer` is first brought current (a view
+        over a dropped base table raises here), then serves the
+        materialized rows when there is no snapshot or the view's
+        recorded dependency states equal it (the stored result *is* the
+        state the snapshot names).  Any other mismatch compiles and
+        executes the view's statement under the snapshot instead,
+        preserving the typed ``snapshot too old`` contract for
+        deleted-from tables.
         """
         if isinstance(query, CompiledViewAnswer):
             result = self._run_compiled_view(query, snapshot)
             if result is not None:
                 return result
+            if query.query is None:
+                query.query = self._analyze_and_rewrite(query.statement)[0]
             query = query.query
         if snapshot is None and timeout is None:
             return self._backend.run_select(query)
@@ -641,12 +637,7 @@ class PermDatabase:
             return None
         view = self.catalog.matview(compiled.view_name)
         with view.lock:
-            try:
-                maintenance.ensure_fresh(self, view)
-            except CatalogError:
-                # A dropped base table: the fallback tree raises its own
-                # (equally loud) error when it re-plans.
-                return None
+            maintenance.ensure_fresh(self, view)
             if snapshot is None or view.matches_snapshot(snapshot):
                 view.served_reads += 1
                 return view.result()
@@ -802,30 +793,18 @@ class PermDatabase:
         query, _ = self._analyze_and_rewrite(stmt)
         return query, self._backend.run_select(query)
 
-    def _execute_select(self, stmt: ast.SelectNode) -> tuple[Optional[Any], QueryResult]:
-        """Run one SELECT; returns (cacheable-entry-or-None, result).
-
-        A provenance-marked statement that restates a registered
-        materialized provenance view is answered from the view's stored
-        rows (maintaining it first when base tables changed); the
-        cacheable entry is then a :class:`_MatViewAnswer` marker rather
-        than a compiled tree.
-        """
-        if getattr(stmt, "provenance", False):
-            view = self.catalog.matview_for_statement(stmt)
-            if view is not None:
-                return _MatViewAnswer(view.name), self._serve_matview(view)
+    def _execute_select(self, stmt: ast.SelectNode) -> QueryResult:
+        """Run one SELECT of a script (uncached: there is no text to key
+        it by); ``SELECT INTO`` stores its result as a new table."""
+        if not stmt.into:
+            return self.run_compiled(self.compile_select(stmt))
         query, result = self._run_select(stmt)
-        if query.into is not None:
-            self._store_into(query.into, query, result)
-            return None, QueryResult(
-                columns=[], rows=[], command=f"SELECT INTO {len(result)}"
-            )
-        return query, result
+        self._store_into(query.into, query, result)
+        return QueryResult(columns=[], rows=[], command=f"SELECT INTO {len(result)}")
 
     def _execute_statement(self, stmt: ast.Statement) -> QueryResult:
         if isinstance(stmt, (ast.SelectStmt, ast.SetOpSelect)):
-            return self._execute_select(stmt)[1]
+            return self._execute_select(stmt)
         if isinstance(stmt, ast.CreateTableStmt):
             return self._execute_create_table(stmt)
         if isinstance(stmt, ast.CreateViewStmt):
@@ -1039,21 +1018,6 @@ class PermDatabase:
         return QueryResult(
             columns=[], rows=[], command="REFRESH MATERIALIZED PROVENANCE VIEW"
         )
-
-    def _serve_matview(self, view) -> QueryResult:
-        """Answer a read from a materialized provenance view.
-
-        Maintain-on-read: stale views are first brought current
-        (incrementally where the delta algebra is exact, else by full
-        refresh), so a served result always equals re-executing the
-        definition against the live tables.
-        """
-        from repro.matview import maintenance
-
-        with view.lock:
-            maintenance.ensure_fresh(self, view)
-            view.served_reads += 1
-            return view.result()
 
     def _store_into(self, name: str, query: Query, result: QueryResult) -> None:
         """SELECT INTO: materialize a result (e.g. stored provenance)."""

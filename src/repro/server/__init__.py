@@ -5,12 +5,13 @@ DBMS serves to clients; this package gives the repro that serving
 surface.  An asyncio server (:mod:`repro.server.server`) speaks a
 length-prefixed JSON protocol (:mod:`repro.server.protocol`) carrying
 the query text, the provenance semantics, and a session id.  Sessions
-(:mod:`repro.server.session`) hold prepared-statement caches so
-repeated statements skip the frontend pipeline.  One engine thread
-runs the statements in admission order, each to completion; every read
-executes under a snapshot token built on the storage layer's
-append-only heaps, so it gets a consistent answer while in-process
-writers run.  Admission is bounded and overload is answered, not
+(:mod:`repro.server.session`) keep per-client counters; every session
+is served from the database's statement cache, so a repeated statement
+skips the frontend pipeline whichever client compiled it.  One engine
+thread runs the statements in admission order, each to completion;
+every read executes under a snapshot token built on the storage
+layer's append-only heaps, so it gets a consistent answer while
+in-process writers run.  Admission is bounded and overload is answered, not
 buffered; per-query deadlines, armed at admission, cancel runaway
 execution cooperatively inside the engine.
 :mod:`repro.server.client` is the matching blocking client.

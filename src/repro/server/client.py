@@ -3,7 +3,7 @@
 One :class:`PermClient` wraps one TCP connection.  Requests are
 strictly request/response on a connection, so a client instance is for
 one thread; concurrent load uses one client per thread (each sharing a
-session id if they want a shared prepared-statement cache).
+session id if they want shared counters).
 
 Transient-error retry: ``max_retries > 0`` re-issues **read-only**
 statements that fail with a retryable typed error (``overloaded``,
@@ -226,6 +226,7 @@ class PermClient:
         return stats
 
     def close_session(self) -> bool:
-        """Drop this session's server-side prepared-statement cache."""
+        """Drop this session's server-side counters (compiled statements
+        stay in the database's statement cache)."""
         response = self._roundtrip({"op": "close", "session": self.session})
         return bool(response.get("closed"))

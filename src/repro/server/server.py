@@ -21,11 +21,13 @@ Request lifecycle:
 2. **Queue.** The request waits for the engine thread.  One still
    queued at its deadline is answered with a ``timeout`` and never
    runs.
-3. **Execution.** The session's prepared-statement cache is probed
-   once; on a miss the statement is parsed once and a SELECT is
-   compiled by the frontend pipeline.  SELECTs execute under a
-   snapshot (:meth:`PermDatabase.snapshot`) taken on the engine thread
-   as the statement starts, with the rest of the deadline; other
+3. **Execution.** The database's statement cache is probed once
+   (:meth:`PermDatabase.lookup_or_compile`, the step ``execute`` and
+   ``provenance`` use too, so every session and the embedding program
+   share compiled statements); on a miss the statement is parsed once
+   and a SELECT is compiled by the frontend pipeline.  SELECTs execute
+   under a snapshot (:meth:`PermDatabase.snapshot`) taken on the engine
+   thread as the statement starts, with the rest of the deadline; other
    statements (DDL/DML) hand their parse trees to
    ``PermDatabase.execute``, which logs durable ones to the WAL.
 4. **Timeout.** The engine deadline fires inside execution; an
@@ -55,8 +57,6 @@ from repro.server.protocol import (
 )
 from repro.server.session import Session, SessionManager
 from repro.server.stats import ServerStats
-from repro.sql import ast
-from repro.sql.parser import parse_sql
 
 #: Extra seconds the asyncio backstop waits beyond the engine deadline.
 TIMEOUT_GRACE = 5.0
@@ -315,23 +315,15 @@ class PermServer:
         fault_point("server.query", session=session.session_id, sql=sql)
         if deadline is not None and time.monotonic() >= deadline:
             raise ExecutionError("query canceled: timed out while queued")
-        key = self.db.cache_key(sql, provenance)
-        query = session.lookup(key)
-        cached = query is not None
+        query, cached, statements = self.db.lookup_or_compile(sql, provenance)
         if query is None:
-            statements = parse_sql(sql)
-            if len(statements) != 1 or not isinstance(
-                statements[0], (ast.SelectStmt, ast.SetOpSelect)
-            ):
-                if provenance is not None:
-                    raise PermError(
-                        "provenance semantics require a single SELECT statement"
-                    )
-                # DDL/DML (and multi-statement scripts) execute outside
-                # the snapshot: they *create* the states snapshots name.
-                return _result_payload(self.db.execute(statements), cached=False)
-            query = self.db.compile_select(statements[0], provenance=provenance)
-            session.store(key, query)
+            # DDL/DML (and multi-statement scripts) execute outside the
+            # snapshot: they *create* the states snapshots name.
+            return _result_payload(self.db.execute(statements), cached=False)
+        if cached:
+            session.cache_hits += 1
+        else:
+            session.cache_misses += 1
         timeout = None if deadline is None else deadline - time.monotonic()
         result = self.db.run_compiled(query, snapshot=self.db.snapshot(), timeout=timeout)
         return _result_payload(result, cached=cached)

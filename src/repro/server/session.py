@@ -1,64 +1,37 @@
-"""Server-side sessions: prepared-statement caches and counters.
+"""Server-side sessions: per-client counters.
 
 A session is the unit of server-side client state.  Clients name their
 session (any string id); all connections presenting the same id share
-one session, so a client can reconnect and keep its warm
-prepared-statement cache.  Sessions hold *compiled query trees* — the
-output of :meth:`PermDatabase.compile_select`, i.e. the full frontend
-pipeline (parse → analyze → provenance-rewrite → optimize) — keyed by
-:meth:`PermDatabase.cache_key` with the provenance semantics as mode,
-so DDL and fresh statistics age entries out naturally.
+one session, so a client can reconnect and keep its counters.  Compiled
+statements are not session state: every session is served from the
+database's own statement cache (:meth:`PermDatabase.lookup_or_compile`),
+so a text one client compiled is a hit for every other client, and
+closing a session keeps it.
 
-The statement caches are read and written only on the server's one
-engine thread; the session map and the query/error counters only on
-its asyncio thread.  Nothing here needs a lock.
+The cache hit/miss counters are written only on the server's one engine
+thread; the session map and the query/error counters only on its
+asyncio thread.  Nothing here needs a lock.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.analyzer.query_tree import Query
-
-#: Compiled statements kept per session.
-SESSION_STATEMENT_CACHE_SIZE = 32
 
 #: Sessions kept server-wide (least-recently-used beyond this bound).
 MAX_SESSIONS = 256
 
 
 class Session:
-    """One client session: statement cache plus per-session counters."""
+    """One client session: query, error and statement-cache counters."""
 
-    def __init__(self, session_id: str, cache_size: int = SESSION_STATEMENT_CACHE_SIZE) -> None:
+    def __init__(self, session_id: str) -> None:
         self.session_id = session_id
         self.created = time.monotonic()
         self.queries = 0
         self.errors = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self._cache_size = cache_size
-        self._statements: "OrderedDict[tuple, Query]" = OrderedDict()
-
-    def lookup(self, key: tuple) -> Optional["Query"]:
-        """The compiled tree cached under ``key`` (a
-        :meth:`PermDatabase.cache_key`), or None."""
-        query = self._statements.get(key)
-        if query is not None:
-            self._statements.move_to_end(key)
-            self.cache_hits += 1
-        return query
-
-    def store(self, key: tuple, query: "Query") -> None:
-        """Cache a freshly compiled tree (a miss), evicting the least
-        recently used beyond the cache size."""
-        self.cache_misses += 1
-        self._statements[key] = query
-        while len(self._statements) > self._cache_size:
-            self._statements.popitem(last=False)
 
     def record(self, ok: bool) -> None:
         self.queries += 1
@@ -72,7 +45,6 @@ class Session:
             "errors": self.errors,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cached_statements": len(self._statements),
         }
 
 

@@ -31,6 +31,25 @@ def db() -> repro.PermDatabase:
 
 
 @pytest.fixture
+def compile_counter(monkeypatch):
+    """``compile_counter(db)`` returns a list that grows by one entry per
+    frontend compile (``_analyze_and_rewrite``) of ``db``."""
+
+    def count(database: repro.PermDatabase) -> list:
+        compiles = []
+        real = database._analyze_and_rewrite
+
+        def counting(stmt):
+            compiles.append(stmt)
+            return real(stmt)
+
+        monkeypatch.setattr(database, "_analyze_and_rewrite", counting)
+        return compiles
+
+    return count
+
+
+@pytest.fixture
 def example_db() -> repro.PermDatabase:
     """The shop/sales/items database of paper Fig. 2."""
     database = repro.connect()

@@ -98,3 +98,19 @@ def test_select_into_not_cached(db):
 
     with pytest.raises(CatalogError):
         db.execute("SELECT a INTO copy1 FROM t")
+
+
+def test_view_read_through_execute_runs_no_frontend(db, compile_counter):
+    db.execute(
+        "CREATE MATERIALIZED PROVENANCE VIEW v AS SELECT PROVENANCE a FROM t"
+    )
+    compiles = compile_counter(db)
+    hits = db.cache_stats()["hits"]
+    first = db.execute("SELECT PROVENANCE a FROM t")  # miss: entry cached
+    db.execute("INSERT INTO t VALUES (3, 30)")  # the view maintains itself
+    second = db.execute("SELECT PROVENANCE a FROM t")  # hit
+    assert db.cache_stats()["hits"] == hits + 1
+    assert sorted(first.rows) == [(1, 1, 10), (2, 2, 20)]
+    assert sorted(second.rows) == [(1, 1, 10), (2, 2, 20), (3, 3, 30)]
+    assert db.catalog.matview("v").served_reads == 2
+    assert compiles == []

@@ -169,3 +169,17 @@ def test_delete_invalidates_inflight_view_read_with_typed_error():
     finally:
         db.run_compiled = real_run
         handle.stop()
+
+
+def test_served_view_read_compiles_nothing(served_db, compile_counter):
+    # A read the view answers never needs the fallback tree: neither the
+    # miss that caches the entry nor the hit runs the frontend.
+    db, handle = served_db
+    db.execute(CREATE)
+    view = db.catalog.matview("sales_prov")
+    compiles = compile_counter(db)
+    with PermClient(*handle.address) as client:
+        replies = [client.query(READ) for _ in range(2)]
+    assert [reply.cached for reply in replies] == [False, True]
+    assert view.served_reads == 2
+    assert compiles == []

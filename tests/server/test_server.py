@@ -56,7 +56,7 @@ def test_prepared_statement_cache_hits(served_db):
         assert me and me[0]["cache_hits"] >= 1
 
 
-def test_sessions_isolate_caches(served_db):
+def test_sessions_share_the_statement_cache(served_db):
     _, handle = served_db
     host, port = handle.address
     sql = "SELECT a FROM t"
@@ -64,10 +64,54 @@ def test_sessions_isolate_caches(served_db):
         host, port, session="two"
     ) as b:
         assert not a.query(sql).cached
-        assert not b.query(sql).cached  # different session: own cache
-        assert a.query(sql).cached
+        assert b.query(sql).cached  # another session: same database cache
         assert a.close_session()
-        assert not a.query(sql).cached  # cache dropped with the session
+        assert a.query(sql).cached  # closing a session keeps the entry
+        stats = {s["session"]: s for s in a.stats()["sessions"]}
+        assert (stats["two"]["cache_hits"], stats["two"]["cache_misses"]) == (1, 0)
+        assert (stats["one"]["cache_hits"], stats["one"]["cache_misses"]) == (1, 0)
+
+
+def test_two_sessions_compile_one_text_once(served_db, compile_counter):
+    db, handle = served_db
+    compiles = compile_counter(db)
+    sql = "SELECT b FROM t WHERE a >= 2"
+    with PermClient(*handle.address, session="one") as a, PermClient(
+        *handle.address, session="two"
+    ) as b:
+        assert [a.query(sql).cached, b.query(sql).cached] == [False, True]
+    assert len(compiles) == 1
+
+
+def test_embedded_provenance_warms_the_served_one(served_db, compile_counter):
+    db, handle = served_db
+    compiles = compile_counter(db)
+    sql = "SELECT a FROM t WHERE a > 1"
+    embedded = db.provenance(sql)
+    with PermClient(*handle.address) as client:
+        served = client.provenance(sql)
+    assert served.cached
+    assert served.columns == embedded.columns
+    assert [tuple(r) for r in served.rows] == embedded.rows
+    assert len(compiles) == 1
+
+
+def test_served_select_is_keyed_after_auto_analyze(served_db, compile_counter):
+    # The growth below makes the next statement refresh t's statistics,
+    # which rotates the cache key: the key must be computed after that
+    # refresh, or the compiled tree is stored under a key never probed
+    # again.
+    db, handle = served_db
+    db.execute("ANALYZE t")
+    compiles = compile_counter(db)
+    rows = ", ".join(f"({i}, 'r')" for i in range(10, 310))
+    sql = "SELECT count(*) FROM t WHERE a > 5"
+    with PermClient(*handle.address) as client:
+        assert client.query(f"INSERT INTO t VALUES {rows}").command == "INSERT 300"
+        replies = [client.query(sql) for _ in range(3)]
+    assert [reply.cached for reply in replies] == [False, True, True]
+    assert {reply.scalar() for reply in replies} == {300}
+    assert len(compiles) == 1
 
 
 def test_ddl_and_dml_route_through_execute(served_db):
