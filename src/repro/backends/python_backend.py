@@ -5,9 +5,8 @@ This wraps the planner plus executor behind the
 semantic reference the other backends are differentially tested against.
 
 Execution is batch-at-a-time: the planner attaches batch kernels to the
-plan, fuses scan→filter→project chains into generated kernels, and the
-engine pulls columnar :class:`~repro.storage.chunk.Chunk` batches
-through ``run_batches``.
+plan's operators, and the engine pulls columnar
+:class:`~repro.storage.chunk.Chunk` batches through ``run_batches``.
 
 Planning is cost-based: the one :class:`~repro.planner.Planner` picks
 join orders and operator strategies from ANALYZE statistics, and every
@@ -41,11 +40,12 @@ class PythonBackend(ExecutionBackend):
     PLAN_CACHE_SIZE = 64
 
     #: Constant: there is one planner, and every plan runs serially,
-    #: batch-at-a-time, with fused pipelines (callers that plan like
-    #: this backend still read the names).
+    #: batch-at-a-time, with no generated pipeline kernels (callers
+    #: that plan like this backend still read the names, and
+    #: ``make_planner`` ignores them).
     cost_based = True
     vectorize = True
-    fuse_pipelines = True
+    fuse_pipelines = False
     parallel_workers = 1
     parallel_executor = "serial"
     morsel_size = None

@@ -150,10 +150,11 @@ class Catalog:
             self.stats_epoch += 1
         return collected
 
-    #: Auto-ANALYZE fires only after at least this many new rows …
+    #: Auto-ANALYZE fires only after the live row count moved (up or
+    #: down) by at least this many rows …
     AUTO_ANALYZE_MIN_GROWTH = 128
-    #: … and only once the heap grew by this fraction of the analyzed
-    #: row count (the PostgreSQL autovacuum shape: base + scale factor).
+    #: … plus this fraction of the analyzed row count (the PostgreSQL
+    #: autovacuum shape: base + scale factor).
     AUTO_ANALYZE_GROWTH_FRACTION = 0.2
     #: Heaps at or above this many live rows are auto-ANALYZEd from a
     #: reservoir sample instead of a full scan …
@@ -163,14 +164,17 @@ class Catalog:
 
     def maybe_auto_analyze(self) -> list[str]:
         """Refresh statistics for previously-ANALYZEd tables whose heaps
-        grew past the auto-ANALYZE threshold.
+        grew or shrank past the auto-ANALYZE threshold.
 
         Deliberately conservative: tables never ANALYZEd stay
         stats-free (the cost model's defaults apply), so opting a
         workload into statistics remains an explicit act; only the
         *staleness* of collected numbers is repaired automatically.
-        Tables whose heap was truncated/recreated (stale uid/epoch) are
-        also re-collected once they hold enough rows to matter.
+        Tables whose heap was truncated/recreated (stale uid or
+        truncation count) are also re-collected once they hold enough
+        rows to matter.  A DELETE or UPDATE of a few rows leaves the
+        snapshot fresh, so it neither re-scans the heap nor bumps
+        ``stats_epoch`` (which every cached plan keys on).
         Returns the names of the tables refreshed.
         """
         from repro.planner.stats import collect_table_stats
@@ -186,7 +190,7 @@ class Catalog:
                     stats.row_count * self.AUTO_ANALYZE_GROWTH_FRACTION
                 )
                 if stats.is_fresh_for(table):
-                    due = live - stats.row_count >= threshold
+                    due = abs(live - stats.row_count) >= threshold
                 else:
                     due = live >= self.AUTO_ANALYZE_MIN_GROWTH
                 if due:

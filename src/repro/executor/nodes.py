@@ -123,10 +123,6 @@ class SeqScan(PlanNode):
     evaluate against the emitted (narrow) row layout.
     """
 
-    #: Planner-attached fusion metadata ``(varmap, [analyzed exprs])``
-    #: parallel to ``predicates``, consumed by :mod:`repro.executor.fusion`.
-    fusion = None
-
     def __init__(
         self,
         table: Table,
@@ -192,9 +188,6 @@ class ValuesNode(PlanNode):
 class FilterNode(PlanNode):
     """Keeps the rows for which every predicate kernel returns True."""
 
-    #: Fusion metadata; see :class:`SeqScan`.
-    fusion = None
-
     def __init__(self, child: PlanNode, predicates: list[BatchExpr]) -> None:
         self.child = child
         self.predicates = predicates
@@ -223,9 +216,6 @@ class ProjectNode(PlanNode):
     ``exprs`` (None at slot positions) called for the rest — one call
     per row is cheaper than extracting every slot-read column.
     """
-
-    #: Fusion metadata; see :class:`SeqScan`.
-    fusion = None
 
     def __init__(
         self,

@@ -32,7 +32,8 @@ def make_planner(
     ``cost_based``, ``vectorize``, ``fuse_pipelines``,
     ``parallel_workers``, ``morsel_size`` and ``parallel_executor`` are
     accepted and ignored: there is one planner, and every plan runs
-    serially, batch-at-a-time, with fused scan→filter→project kernels.
+    serially, batch-at-a-time, through its operators as planned (no
+    generated pipeline kernels).
     """
     return Planner(catalog, outer_varmaps, shared)
 

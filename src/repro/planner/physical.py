@@ -223,17 +223,11 @@ class Planner:
         ``joined`` (internal, aggregation-join fusion) substitutes an
         already-planned FROM/WHERE unit: the query's own join tree and
         quals are skipped and its aggregation/projection/sort pipeline is
-        planned on top of the given subplan.  Scan→filter→project
-        chains of the result are fused into generated kernels
-        (:mod:`repro.executor.fusion`).
+        planned on top of the given subplan.  The plan is the operator
+        tree as emitted: a scan→filter→project chain runs as a
+        ``SeqScan`` with its pushed predicate kernels under a
+        ``FilterNode``/``SliceNode``/``ProjectNode``.
         """
-        from repro.executor.fusion import fuse_pipelines
-
-        return fuse_pipelines(self._plan_query(query, joined))
-
-    def _plan_query(
-        self, query: Query, joined: Optional["_Unit"] = None
-    ) -> PlanNode:
         if query.set_operations is not None:
             self.output_stats = None
             plan = self._plan_setop_query(query)
@@ -298,9 +292,7 @@ class Planner:
         self, plan: PlanNode, compiler: ExprCompiler, conjunct: ex.Expr
     ) -> FilterNode:
         """A FilterNode for one conjunct over ``plan``."""
-        node = FilterNode(plan, [compiler.compile_batch(conjunct)])
-        node.fusion = (compiler.varmap, [conjunct])
-        return node
+        return FilterNode(plan, [compiler.compile_batch(conjunct)])
 
     def _push_conjunct(self, unit: "_Unit", conjunct: ex.Expr) -> None:
         """Compile a conjunct against a unit's layout and push it down.
@@ -308,10 +300,8 @@ class Planner:
         The kernel merges into an existing scan or filter node —
         conjuncts arrive one at a time and one node applying them in
         order costs less than a stack of filters — or wraps the unit's
-        plan in a fresh FilterNode.  The node carrying it records the
-        analyzed conjunct beside the kernel (``fusion``), which the
-        fusion pass re-emits as inline source.  The unit's estimate
-        shrinks by the conjunct's estimated selectivity.
+        plan in a fresh FilterNode.  The unit's estimate shrinks by the
+        conjunct's estimated selectivity.
         """
         from repro.executor.nodes import SeqScan
 
@@ -320,13 +310,8 @@ class Planner:
         plan = unit.plan
         if isinstance(plan, (SeqScan, FilterNode)):
             plan.predicates.append(kernel)
-            if plan.fusion is None:
-                plan.fusion = (unit.varmap, [conjunct])
-            else:
-                plan.fusion[1].append(conjunct)
         else:
             plan = unit.plan = FilterNode(plan, [kernel])
-            plan.fusion = (unit.varmap, [conjunct])
         bound = self._cost.range_bound(conjunct, unit.scope)
         if bound is None:
             sel = self._cost.conjunct_selectivity(conjunct, unit.scope)
@@ -361,15 +346,13 @@ class Planner:
         row-backed input) a row closure."""
         slots = self._slot_hints(target_exprs, compiler.varmap)
         pairs = list(zip(target_exprs, slots))
-        node = ProjectNode(
+        return ProjectNode(
             plan,
             names,
             slots,
             kernels=[None if s is not None else compiler.compile_batch(e) for e, s in pairs],
             exprs=[None if s is not None else compiler.compile(e) for e, s in pairs],
         )
-        node.fusion = (compiler.varmap, list(target_exprs))
-        return node
 
     # -- RTE plans ------------------------------------------------------------------
 

@@ -81,9 +81,10 @@ class TableStats:
     table_name: str
     row_count: int
     columns: dict[str, ColumnStats] = field(default_factory=dict)
-    # Heap identity at collection time (freshness check).
+    # Heap identity at collection time (freshness check): the snapshot
+    # outlives row removal, not a truncate or a drop-and-recreate.
     table_uid: int = -1
-    table_epoch: int = -1
+    table_truncations: int = -1
     #: Rows actually inspected when the snapshot was sample-based
     #: (auto-ANALYZE over large heaps); ``None`` means a full scan.
     sampled_rows: Optional[int] = None
@@ -93,7 +94,8 @@ class TableStats:
 
     def is_fresh_for(self, table: "Table") -> bool:
         return (
-            self.table_uid == table.uid and self.table_epoch == table.epoch
+            self.table_uid == table.uid
+            and self.table_truncations == table.truncations
         )
 
 
@@ -163,7 +165,7 @@ def collect_table_stats(
         table_name=table.name,
         row_count=rows,
         table_uid=table.uid,
-        table_epoch=table.epoch,
+        table_truncations=table.truncations,
     )
     if rows == 0:
         for name in table.column_names:

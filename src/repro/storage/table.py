@@ -51,9 +51,13 @@ class Table:
 
     * ``uid`` uniquely identifies this heap for the process lifetime, so a
       dropped-and-recreated table of the same name is recognizably new;
-    * ``epoch`` increments on :meth:`truncate` — within one epoch the row
-      list only ever *grows*, so a mirror that remembers how many rows it
-      copied can sync incrementally by shipping just the appended suffix.
+    * ``epoch`` increments on :meth:`truncate` and :meth:`remove_rows` —
+      within one epoch the row list only ever *grows*, so a mirror that
+      remembers how many rows it copied can sync incrementally by
+      shipping just the appended suffix;
+    * ``truncations`` increments on :meth:`truncate` alone: statistics
+      collected before a truncate describe rows that are all gone, while
+      after a row removal they still describe the heap that is left.
     """
 
     def __init__(self, schema: TableSchema, rows: Iterable[Sequence[Any]] | None = None) -> None:
@@ -61,6 +65,7 @@ class Table:
         self._rows: list[tuple] = []
         self.uid = next(_UID_COUNTER)
         self.epoch = 0
+        self.truncations = 0
         # Columnar view of the heap for vectorized scans, rebuilt lazily
         # whenever the (epoch, row count) it was derived from goes stale.
         # The epoch matters: truncate() + reinserting the same number of
@@ -113,6 +118,7 @@ class Table:
     def truncate(self) -> None:
         self._rows.clear()
         self.epoch += 1
+        self.truncations += 1
         # A truncate is not expressible as a bounded delta; invalidate
         # the whole log so lagging readers recompute from scratch.
         self._deltas.clear()

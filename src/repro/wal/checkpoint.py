@@ -186,11 +186,12 @@ def restore_catalog(db: "PermDatabase", data: dict) -> None:
 def _encode_stats(stats, table: Table) -> dict:
     return {
         "row_count": stats.row_count,
-        "table_epoch": stats.table_epoch,
         "sampled_rows": stats.sampled_rows,
         # uids are process-lifetime; persist only whether the snapshot
-        # was bound to this heap so restore can re-bind to the new uid.
+        # was bound (and fresh) for this heap so restore can re-bind to
+        # the new uid.
         "uid_matches": stats.table_uid == table.uid,
+        "fresh": stats.is_fresh_for(table),
         "columns": {
             name: {
                 "ndv": col.ndv,
@@ -214,6 +215,9 @@ def _encode_stats(stats, table: Table) -> dict:
 def _decode_stats(encoded: dict, table: Table):
     from repro.planner.stats import ColumnStats, TableStats
 
+    fresh = encoded.get("fresh")
+    if fresh is None:  # written when row removal still staled statistics
+        fresh = encoded["uid_matches"] and encoded["table_epoch"] == table.epoch
     return TableStats(
         table_name=table.schema.name,
         row_count=encoded["row_count"],
@@ -235,7 +239,7 @@ def _decode_stats(encoded: dict, table: Table):
             for name, col in encoded["columns"].items()
         },
         table_uid=table.uid if encoded["uid_matches"] else -1,
-        table_epoch=encoded["table_epoch"],
+        table_truncations=table.truncations if fresh else -1,
         sampled_rows=encoded.get("sampled_rows"),
     )
 

@@ -308,22 +308,21 @@ def test_explain_without_analyze_does_not_execute():
 
 
 def _plan_node_classes():
-    from repro.executor import fusion, nodes
+    from repro.executor import nodes
 
-    for module in (nodes, fusion):
-        for value in vars(module).values():
-            if (
-                inspect.isclass(value)
-                and issubclass(value, nodes.PlanNode)
-                and value.__module__ == module.__name__
-                and value is not nodes.PlanNode
-            ):
-                yield value
+    for value in vars(nodes).values():
+        if (
+            inspect.isclass(value)
+            and issubclass(value, nodes.PlanNode)
+            and value.__module__ == nodes.__name__
+            and value is not nodes.PlanNode
+        ):
+            yield value
 
 
 def test_no_plan_node_defines_its_own_row_path():
     classes = list(_plan_node_classes())
-    assert len(classes) == 15  # 14 in nodes.py and the fused node
+    assert len(classes) == 14  # every operator lives in nodes.py
     assert [cls.__name__ for cls in classes if "run" in vars(cls)] == []
     assert all("run_batches" in vars(cls) for cls in classes)
 
@@ -380,7 +379,7 @@ def test_deleted_modes_survive_only_as_ignored_surface():
     from repro.tpch.qgen import generate_query
 
     assert PythonBackend.vectorize is True
-    assert PythonBackend.fuse_pipelines is True
+    assert PythonBackend.fuse_pipelines is False  # no kernel is generated
     assert PythonBackend.cost_based is True
     assert ExecContext(vectorized=False).batch_size > 0
 
@@ -401,4 +400,4 @@ def test_deleted_modes_survive_only_as_ignored_surface():
         )
         explained = legacy.plan(query).explain()
         assert explained == make_planner(db.catalog).plan(query).explain()
-    assert "FusedPipeline" in explained
+    assert explained == "-> SliceNode\n  -> SeqScan on nation (filtered)"

@@ -18,17 +18,23 @@ change to how a join order is *found* must leave this file alone.  A
 statement the rewriter rejects stores ``"!<ErrorType>: <message>"``.
 
 The committed file was written by the planner of commit c0a5c38 (the
-last one that priced every candidate split with expression-tree walks).
+last one that priced every candidate split with expression-tree walks)
+and re-written once when pipeline fusion was deleted: the 40 entries
+that held a ``FusedPipeline`` node now show the ``SliceNode`` or
+``ProjectNode`` over a filtered ``SeqScan`` it had replaced, and the
+other 83 entries stayed byte-equal.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.analyzer.analyzer import Analyzer
 from repro.core.rewriter import traverse_query_tree
 from repro.errors import PermError
+from repro.executor.expr_eval import ExprCompiler
 from repro.executor.nodes import FilterNode, HashJoin, PlanNode, SeqScan
 from repro.optimizer import optimize_query_tree
 from repro.planner import make_planner
@@ -55,8 +61,29 @@ def cases() -> dict[str, str]:
     return statements
 
 
-def render_plan(plan: PlanNode) -> tuple[str, list[float]]:
-    """(shape text, per-node estimates) of a physical plan, pre-order."""
+@contextmanager
+def recorded_conjuncts():
+    """Map every batch kernel compiled inside the block to the analyzed
+    expression it was compiled from (an outer expression overwrites the
+    entries of the sub-expressions it is built from)."""
+    sources: dict = {}
+    compile_batch = ExprCompiler.compile_batch
+
+    def recording(self, expr):
+        kernel = compile_batch(self, expr)
+        sources[kernel] = expr
+        return kernel
+
+    ExprCompiler.compile_batch = recording
+    try:
+        yield sources
+    finally:
+        ExprCompiler.compile_batch = compile_batch
+
+
+def render_plan(plan: PlanNode, sources: dict) -> tuple[str, list[float]]:
+    """(shape text, per-node estimates) of a physical plan, pre-order;
+    ``sources`` maps predicate kernels to their conjuncts."""
     lines: list[str] = []
     estimates: list[float] = []
 
@@ -64,10 +91,12 @@ def render_plan(plan: PlanNode) -> tuple[str, list[float]]:
         detail = f"{node.label()} w={node.width()}"
         if isinstance(node, HashJoin):
             detail += " on " + ", ".join(_key_names(node))
-        elif isinstance(node, (SeqScan, FilterNode)) and node.fusion is not None:
+        elif isinstance(node, (SeqScan, FilterNode)) and node.predicates:
             # The pushed conjuncts name the range-table entry ($varno),
             # which is what tells eight filtered scans of ``part`` apart.
-            detail += " where " + " and ".join(str(c) for c in node.fusion[1])
+            detail += " where " + " and ".join(
+                str(sources[kernel]) for kernel in node.predicates
+            )
         lines.append("  " * depth + detail)
         estimates.append(float(node.estimate))
         for child in node.children():
@@ -98,12 +127,13 @@ def rendered(**planner_options) -> dict[str, dict]:
         try:
             query = Analyzer(db.catalog).analyze(parse_sql(sql)[0])
             query = optimize_query_tree(traverse_query_tree(query))
-            plan = make_planner(db.catalog, **planner_options).plan(query)
+            with recorded_conjuncts() as sources:
+                plan = make_planner(db.catalog, **planner_options).plan(query)
         except PermError as exc:
             entry["shape"] = f"!{type(exc).__name__}: {exc}"
             entry["estimates"] = []
         else:
-            entry["shape"], entry["estimates"] = render_plan(plan)
+            entry["shape"], entry["estimates"] = render_plan(plan, sources)
         entries[name] = entry
     return entries
 

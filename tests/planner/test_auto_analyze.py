@@ -8,8 +8,11 @@ statement entry points before cache keys are computed.
 
 from __future__ import annotations
 
+import pytest
+
 import repro
 from repro.catalog.catalog import Catalog
+from repro.planner import stats as stats_module
 
 
 def _grown(db, name, rows):
@@ -42,6 +45,72 @@ def test_growth_below_threshold_keeps_stats():
     db.execute("SELECT count(*) FROM t")
     assert db.catalog.stats_epoch == epoch
     assert db.catalog.stats_for("t").row_count == 1000
+
+
+@pytest.fixture()
+def collections(monkeypatch):
+    """Counts ``collect_table_stats`` calls (ANALYZE and auto-ANALYZE)."""
+    calls = []
+    collect = stats_module.collect_table_stats
+
+    def counted(table, sample_rows=None):
+        calls.append(table.name)
+        return collect(table, sample_rows=sample_rows)
+
+    monkeypatch.setattr(stats_module, "collect_table_stats", counted)
+    return calls
+
+
+def _analyzed(rows):
+    db = repro.connect()
+    db.execute("CREATE TABLE t (a integer, b integer)")
+    _grown(db, "t", [(i, i % 7) for i in range(rows)])
+    db.execute("ANALYZE")
+    return db
+
+
+@pytest.mark.parametrize(
+    "dml, updated",
+    [("DELETE FROM t WHERE a = 17", 0), ("UPDATE t SET b = 99 WHERE a = 17", 1)],
+)
+def test_one_row_delete_or_update_keeps_stats(collections, dml, updated):
+    # Row removal bumps the heap epoch; the statistics must outlive it,
+    # or every DML statement re-scans the table and re-keys every plan.
+    db = _analyzed(5000)
+    epoch = db.catalog.stats_epoch
+    collections.clear()
+    db.execute(dml)
+    assert db.execute("SELECT count(*) FROM t WHERE b = 99").scalar() == updated
+    assert collections == []
+    assert db.catalog.stats_epoch == epoch
+    assert db.catalog.stats_for("t").row_count == 5000
+
+
+def test_shrink_past_threshold_refreshes_stats(collections):
+    db = _analyzed(5000)
+    epoch = db.catalog.stats_epoch
+    collections.clear()
+    # 128 + 0.2 * 5000 = 1128 rows due; 1127 removed leave the stats be.
+    db.execute("DELETE FROM t WHERE a < 1127")
+    db.execute("SELECT count(*) FROM t")
+    assert collections == []
+    db.execute("DELETE FROM t WHERE a = 1127")
+    db.execute("SELECT count(*) FROM t")
+    assert collections == ["t"]
+    assert db.catalog.stats_epoch == epoch + 1
+    assert db.catalog.stats_for("t").row_count == 5000 - 1128
+
+
+def test_truncate_stales_stats_even_at_the_same_row_count(collections):
+    db = _analyzed(1000)
+    table = db.catalog.table("t")
+    table.truncate()
+    _grown(db, "t", [(i, 0) for i in range(1000)])
+    assert db.catalog.stats_for("t") is None
+    collections.clear()
+    db.execute("SELECT count(*) FROM t")  # 1000 >= 128 live rows: re-collect
+    assert collections == ["t"]
+    assert db.catalog.stats_for("t").column("b").ndv == 1
 
 
 def test_never_analyzed_tables_stay_stats_free():

@@ -43,7 +43,7 @@ def reference_collect_table_stats(table, sample_rows=None):
         table_name=table.name,
         row_count=rows,
         table_uid=table.uid,
-        table_epoch=table.epoch,
+        table_truncations=table.truncations,
     )
     if rows == 0:
         for name in table.column_names:

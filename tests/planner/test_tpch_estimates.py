@@ -50,15 +50,26 @@ def test_q9_part_scan_estimate_tracks_like_selectivity(db):
     assert actual <= est * 10 and est <= max(actual, 1) * 10
 
 
-def test_fused_boundaries_and_estimates_coexist(db):
-    """Acceptance shape: \\explain+ shows fused pipeline boundaries and
-    histogram-backed est= annotations in the same plan."""
+def test_scan_filter_project_operators_carry_estimates(db):
+    """Acceptance shape: \\explain+ of a scan→filter→project chain shows
+    the plain operators, each with a histogram-backed est= within the
+    misestimate threshold of its actual rows."""
     text = db.explain(
         "SELECT l_orderkey, l_extendedprice * (1 - l_discount) "
         "FROM lineitem WHERE l_shipdate > date '1995-01-01' "
         "AND l_discount < 0.05",
         analyze=True,
     )
-    assert "FusedPipeline" in text
-    assert "est=" in text
+    plan = text.split("-- physical plan (analyzed, vectorized) --\n")[1]
+    operators = [line for line in plan.splitlines() if line.lstrip().startswith("->")]
+    assert [line.split("(")[0].strip() for line in operators] == [
+        "-> ProjectNode",
+        "-> SeqScan on lineitem",
+    ]
+    assert "SeqScan on lineitem (filtered)" in operators[1]
+    for line in operators:
+        est, actual = map(
+            int, re.search(r"est=(\d+) actual rows=(\d+)", line).groups()
+        )
+        assert actual <= est * 10 and est <= max(actual, 1) * 10
     assert "misestimate" not in text

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import repro
 from repro.__main__ import _build_database
 from repro.tpch.qgen import generate_query
 
@@ -132,6 +133,14 @@ def test_no_vectorize_flag_is_gone():
         )
         assert result.returncode == 2
         assert f"unrecognized arguments: {flag}" in result.stderr
+
+
+def test_shell_has_no_fusion_toggle(capsys):
+    from repro.__main__ import _handle_meta
+
+    db = repro.connect()
+    assert _handle_meta(db, "\\fuse off") is True
+    assert "unknown meta command" in capsys.readouterr().out
 
 
 def test_interactive_explain_analyze():

@@ -62,9 +62,9 @@ def fingerprint(db: repro.PermDatabase) -> dict:
         table = db.catalog.table(name) if db.catalog.has_table(name) else None
         stats[name] = {
             "row_count": entry.row_count,
-            "table_epoch": entry.table_epoch,
             "bound_to_heap": table is not None
             and entry.table_uid == table.uid,
+            "fresh": table is not None and entry.is_fresh_for(table),
             "columns": {
                 col: (c.ndv, c.null_frac, c.min_value, c.max_value)
                 for col, c in entry.columns.items()

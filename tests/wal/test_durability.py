@@ -119,6 +119,35 @@ class TestCheckpoints:
         assert_equivalent(recovered, replay_twin(WORKLOAD + [extra]))
         recovered.close()
 
+    def test_statistics_stay_fresh_across_delete_and_checkpoint(self, tmp_path):
+        workload = WORKLOAD + ["DELETE FROM shop WHERE name = 'Edeka'"]
+        db = reopen(tmp_path)
+        run_workload(db, workload)
+        assert db.catalog.stats_for("shop").row_count == 3  # as ANALYZEd
+        db.checkpoint()
+        db.close()
+
+        recovered = reopen(tmp_path)
+        assert recovered.catalog.stats_for("shop").row_count == 3
+        assert_equivalent(recovered, replay_twin(workload))
+        recovered.close()
+
+    def test_checkpoint_without_freshness_flag_compares_epochs(self):
+        # Checkpoints written before statistics outlived row removal
+        # carry the table epoch at collection instead of ``fresh``.
+        from repro.wal.checkpoint import restore_catalog, snapshot_catalog
+
+        db = repro.connect()
+        run_workload(db)
+        data = snapshot_catalog(db)
+        (entry,) = [t for t in data["tables"] if t["name"] == "shop"]
+        del entry["stats"]["fresh"]
+        for stats_epoch, fresh in ((entry["epoch"], True), (entry["epoch"] - 1, False)):
+            entry["stats"]["table_epoch"] = stats_epoch
+            restored = repro.connect()
+            restore_catalog(restored, data)
+            assert (restored.catalog.stats_for("shop") is not None) is fresh
+
     def test_checkpoint_prunes_old_files(self, tmp_path):
         db = reopen(tmp_path)
         run_workload(db)
